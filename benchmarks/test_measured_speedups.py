@@ -86,7 +86,7 @@ def test_zz_vectorization_speedup_summary(benchmark, results_dir):
     for (app, label), mean in sorted(_timings.items(), key=str):
         base = _timings.get((app, "scalar"))
         t.add(App=app, Backend=str(label),
-              **{"s/step": round(mean, 4),
+              **{"ms/step": round(mean * 1e3, 3),
                  "speedup vs scalar": round(base / mean, 1) if base else ""})
     t.save("measured_speedups", results_dir)
     print("\n" + t.render())

@@ -8,12 +8,9 @@ sparse-matrix-vector pattern of the paper's Fig 1b — two ways:
 1. **eager**: every ``par_loop`` dispatches immediately;
 2. **chained** (deferred): ``with rt.chain():`` records the loops and
    flushes them as one pre-analyzed, fused, memoized schedule — the
-   loop-chain execution model a steady-state time step wants;
-3. **tiled**: ``with rt.chain(tiling=...):`` additionally runs the whole
-   chain tile-by-tile (sparse tiling, ``repro/tiling``) so data written
-   by one loop is still cache-hot when the next loop reads it.
+   loop-chain execution model a steady-state time step wants.
 
-All styles produce bitwise-identical results on every backend.
+Both styles produce bitwise-identical results on every backend.
 
 Run:  python examples/quickstart.py
 """
@@ -105,18 +102,6 @@ def run_chained(backend: str, scheme: str = "two_level") -> np.ndarray:
     return result.data.copy()
 
 
-def run_tiled(backend: str, scheme: str = "two_level") -> np.ndarray:
-    result.zero()
-    rt = Runtime(backend=backend, scheme=scheme, block_size=128)
-    # 6. Sparse tiling: the inspector splits the chain into seed tiles of
-    #    the first loop, projects them through edge2node so the SpMV's
-    #    slices respect every dependency, and the executor replays both
-    #    loops tile-by-tile — cross-loop cache locality, same bits.
-    with rt.chain(tiling=128):
-        loops(rt)
-    return result.data.copy()
-
-
 if __name__ == "__main__":
     reference = run_eager("sequential")
     print(f"sequential   result[:4] = {reference[:4].ravel().round(4)}")
@@ -128,16 +113,13 @@ if __name__ == "__main__":
     ]:
         eager = run_eager(backend, scheme)
         chained = run_chained(backend, scheme)
-        tiled = run_tiled(backend, scheme)
         ok = np.allclose(eager, reference)
         identical = np.array_equal(chained, eager)
-        tiled_identical = np.array_equal(tiled, eager)
         print(
             f"{backend:11s} ({scheme:13s}) matches sequential: {ok}  "
-            f"chained == eager bitwise: {identical}  "
-            f"tiled == eager bitwise: {tiled_identical}"
+            f"chained == eager bitwise: {identical}"
         )
-        assert ok and identical and tiled_identical
+        assert ok and identical
     print(
         "\nAll backends agree, and the deferred LoopChain execution is "
         "bitwise identical to eager dispatch — same coloring machinery, "

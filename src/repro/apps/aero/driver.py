@@ -22,7 +22,7 @@ One Picard iteration (= one :meth:`AeroSim.step`)::
 Everything mesh-sized is a parallel loop; the two host steps are the
 deterministic folds that make the assembled CSR and the solution
 *bitwise identical* across every backend, data layout and execution
-mode ({eager, chained, tiled}) — the aero acceptance property.
+mode ({eager, chained}) — the aero acceptance property.
 
 The matrix-free path (``operator="matfree"``) replaces the middle of
 that pipeline: no staging scatter, no host folds, no assembled values.
@@ -114,11 +114,10 @@ class AeroSim:
         eagerly.  Bitwise identical either way.  ``None`` (default)
         behaves like ``True`` but also lets ``Runtime("auto")``'s tuner
         pick the mode.
-    tiling:
-        Sparse-tiling request forwarded to ``runtime.chain(tiling=...)``
-        (requires ``chained=True``); bitwise identical too.
     cg_tol, cg_maxiter:
-        Linear-solve controls for each Picard iteration.
+        Linear-solve controls for each Picard iteration.  The default
+        ``cg_maxiter=None`` allows as many iterations as the system has
+        unknowns (one per mesh node), CG's exact-arithmetic bound.
     operator:
         Operator realization for the CG solve: ``"assembled"`` stages
         and folds the CSR matrix every Picard step (the bitwise
@@ -137,9 +136,8 @@ class AeroSim:
         runtime: Optional[Runtime] = None,
         constants: AeroConstants = DEFAULT_CONSTANTS,
         chained: Optional[bool] = None,
-        tiling=None,
         cg_tol: float = 1e-10,
-        cg_maxiter: int = 200,
+        cg_maxiter: Optional[int] = None,
         operator: str = "auto",
     ) -> None:
         self.mesh = mesh if mesh is not None else make_airfoil_mesh(24, 12)
@@ -151,14 +149,10 @@ class AeroSim:
         #: leaves the mode to the tuner.
         self.chained_explicit = chained is not None
         self.chained = True if chained is None else bool(chained)
-        if tiling is not None and not self.chained:
-            raise ValueError(
-                "tiling requires chained=True (sparse tiling lowers a "
-                "traced loop chain; eager dispatch has no chain to tile)"
-            )
-        self.tiling = tiling
         self.cg_tol = float(cg_tol)
-        self.cg_maxiter = int(cg_maxiter)
+        self.cg_maxiter = (
+            self.mesh.nodes.size if cg_maxiter is None else int(cg_maxiter)
+        )
         if operator not in OPERATOR_MODES:
             raise ValueError(
                 f"operator must be one of {OPERATOR_MODES}, "
@@ -369,7 +363,7 @@ class AeroSim:
         build = self._matfree_system if matfree else self._assemble_system
         phi_old = s.p_phi.data[: self.mesh.nodes.size, 0].copy()
         if self.chained:
-            with rt.chain(tiling=self.tiling):
+            with rt.chain():
                 build()
         else:
             build()
@@ -377,7 +371,7 @@ class AeroSim:
             self.matfree if matfree else self.operator,
             s.p_b, s.p_phi, runtime=self.runtime,
             tol=self.cg_tol, maxiter=self.cg_maxiter,
-            chained=self.chained, tiling=self.tiling,
+            chained=self.chained,
         )
         self.cg_results.append(result)
         delta = float(

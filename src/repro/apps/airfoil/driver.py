@@ -76,11 +76,6 @@ class AirfoilSim:
         (``None``) means chained — except under an auto-tuning runtime
         (``Runtime("auto")``), where leaving it unset lets the tuner
         negotiate the mode; passing an explicit value pins it.
-    tiling:
-        Sparse-tiling request forwarded to ``runtime.chain(tiling=...)``
-        (``None`` = fused loop-major execution, ``"auto"`` or a seed
-        tile size = tile-major execution; requires ``chained=True``).
-        Results are bitwise identical in every mode.
     """
 
     def __init__(
@@ -90,7 +85,6 @@ class AirfoilSim:
         runtime: Optional[Runtime] = None,
         constants: AirfoilConstants = DEFAULT_CONSTANTS,
         chained: Optional[bool] = None,
-        tiling=None,
     ) -> None:
         self.mesh = mesh if mesh is not None else make_airfoil_mesh(48, 24)
         self.dtype = np.dtype(dtype)
@@ -99,12 +93,6 @@ class AirfoilSim:
         #: Whether the caller chose the dispatch mode (a tuning pin).
         self.chained_explicit = chained is not None
         self.chained = True if chained is None else bool(chained)
-        if tiling is not None and not self.chained:
-            raise ValueError(
-                "tiling requires chained=True (sparse tiling lowers a "
-                "traced loop chain; eager dispatch has no chain to tile)"
-            )
-        self.tiling = tiling
         self.kernels: Dict[str, object] = make_kernels(constants)
         self.state = self._init_state()
         self.rms_history: List[float] = []
@@ -230,7 +218,7 @@ class AirfoilSim:
         schedule from the runtime's chain cache.
         """
         if self.chained:
-            with self._runtime().chain(tiling=self.tiling):
+            with self._runtime().chain():
                 return self._step_body()
         return self._step_body()
 

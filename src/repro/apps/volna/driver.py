@@ -114,7 +114,6 @@ class VolnaSim:
         gravity: float = GRAVITY,
         cfl: float = CFL,
         chained: Optional[bool] = None,
-        tiling=None,
     ) -> None:
         self.mesh = (
             mesh
@@ -131,13 +130,6 @@ class VolnaSim:
         #: leaves the mode to the tuner.
         self.chained_explicit = chained is not None
         self.chained = True if chained is None else bool(chained)
-        if tiling is not None and not self.chained:
-            raise ValueError(
-                "tiling requires chained=True (sparse tiling lowers a "
-                "traced loop chain; eager dispatch has no chain to tile)"
-            )
-        #: Sparse-tiling request forwarded to ``runtime.chain(tiling=...)``.
-        self.tiling = tiling
         self.kernels: Dict[str, object] = make_kernels(gravity, cfl)
         self.state = self._init_state()
         self.time = 0.0
@@ -268,7 +260,7 @@ class VolnaSim:
         and loops 4–9 (the RK updates and snapshot).
         """
         if self.chained:
-            with self._runtime().chain(tiling=self.tiling):
+            with self._runtime().chain():
                 return self._step_body()
         return self._step_body()
 

@@ -60,12 +60,3 @@ class AutoVecBackend(VectorizedBackend):
         if not group.plan.is_direct and group.plan.scheme == "two_level":
             return False
         return super()._group_batchable(group)
-
-    def _tiled_batchable(self, compiled) -> bool:
-        # Tiled fast path: an indirect two_level plan anywhere in the
-        # chain sends the whole schedule down the fused/eager fallback,
-        # which raises the same scheme error eager execution would.
-        for bl in compiled.loops:
-            if not bl.plan.is_direct and bl.plan.scheme == "two_level":
-                return False
-        return super()._tiled_batchable(compiled)

@@ -49,7 +49,6 @@ from ..core.access import Access, Arg
 from ..core.kernel import Kernel
 from ..core.plan import Plan, is_contiguous_range
 from ..core.set import Set
-from ..tiling.schedule import BarrierLoop
 
 
 @dataclass
@@ -129,81 +128,6 @@ class Backend:
                     n_elements=bl.n, start_element=bl.start,
                 )
 
-    # ------------------------------------------------------------------
-    def tiled_profile(self, compiled) -> Optional[str]:
-        """Which eager element order this backend's per-loop execution
-        follows — the order the sparse-tiling inspector may slice.
-
-        ``"ascending"`` (plain ``start..n`` sweeps), ``"phases"`` (the
-        plan's color-phase order) or ``None`` when this backend's
-        execution is not sliceable bitwise-safely (batch-boundary-
-        sensitive machinery like SIMT per-block gathers or finite
-        vector widths with scalar remainder sweeps).  The base class
-        answers ``None``: correctness first — an unknown backend falls
-        back to the fused program.
-        """
-        return None
-
-    def run_tiled(self, compiled) -> None:
-        """Execute a tiled :class:`~repro.core.chain.CompiledChain`.
-
-        Generic executor: walk the schedule's parts in program order —
-        barrier loops through :meth:`execute`, tiled segments
-        tile-by-tile with every slice run element-at-a-time through the
-        scalar kernel in the slice's stored eager order.  Because the
-        schedule slices this backend's own eager element order
-        monotonically and contiguously (see
-        :mod:`repro.tiling.inspector`), the per-loop operation sequence
-        is exactly the eager one and results are bitwise identical.
-
-        Backends whose :meth:`tiled_profile` answers ``None`` fall back
-        to :meth:`run_chain` (untiled, trivially identical).  The
-        batched backends override this with prepared per-tile replay
-        programs.
-        """
-        profile = (
-            self.tiled_profile(compiled) if compiled.tiled is not None
-            else None
-        )
-        schedule = (
-            compiled.tiled_for(profile) if profile is not None else None
-        )
-        if schedule is None:
-            self.run_chain(compiled)
-            return
-        loops = compiled.loops
-        for part in schedule.parts:
-            if isinstance(part, BarrierLoop):
-                bl = loops[part.loop_index]
-                self.execute(
-                    bl.kernel, bl.set, bl.args, bl.plan,
-                    n_elements=bl.n, start_element=bl.start,
-                )
-                continue
-            seg_loops = [loops[k] for k in part.loop_indices]
-            for bl in seg_loops:
-                for arg in bl.args:
-                    arg.dat._sync()
-            reductions = [_init_reductions(bl.args) for bl in seg_loops]
-            elapsed = [0.0] * len(seg_loops)
-            for t in range(part.n_tiles):
-                for j, bl in enumerate(seg_loops):
-                    elems = part.slices[j].tile_elems(t)
-                    if not elems.size:
-                        continue
-                    scalar = bl.kernel.scalar
-                    t0 = time.perf_counter()
-                    for e in elems:
-                        run_scalar_element(
-                            scalar, bl.args, int(e), reductions[j]
-                        )
-                    elapsed[j] += time.perf_counter() - t0
-            for j, bl in enumerate(seg_loops):
-                _fold_reductions(bl.args, reductions[j])
-                self.stats.setdefault(
-                    bl.kernel.name, LoopStats()
-                ).record(elapsed[j], bl.n - bl.start)
-
     def reset_stats(self) -> None:
         self.stats.clear()
 
@@ -218,8 +142,8 @@ def serialized_inc_group_key(arg: Arg) -> Optional[int]:
     *indirect* INC arguments, grouped per target Dat, and only under a
     serialized scatter.  Both the eager :func:`scatter_batch` and the
     prepared-replay :class:`~repro.backends.vectorized._PhaseExec` must
-    use this rule — the sparse-tiling bitwise-identity guarantee rests
-    on the two paths performing operation-for-operation identical
+    use this rule — chained execution is bitwise identical to eager
+    because the two paths perform operation-for-operation identical
     scatters.  Returns the Dat uid, or ``None`` when the argument never
     participates.
     """
@@ -444,10 +368,7 @@ def scatter_batch(
     kernel body applies them.  (Vector INC arguments already flatten
     element-major on their own.)  This makes the order of every
     order-sensitive floating-point operation a pure function of the
-    *element sequence*, independent of batch boundaries — the property
-    that lets the sparse-tiling executor (:mod:`repro.tiling`) re-slice
-    a loop's element sequence into tiles with bitwise-identical
-    results.
+    *element sequence*, independent of batch boundaries.
     """
     joint: Dict[int, list] = {}
     if serialize_inc:

@@ -55,10 +55,3 @@ class CodegenBackend(Backend):
             arg.map.values if arg.map is not None else None for arg in args
         ]
         stub(start, n, kernel.scalar, data, maps, reductions)
-
-    def tiled_profile(self, compiled) -> str:
-        # The generated stubs sweep [start, n) in ascending element
-        # order with per-element operations identical to the generic
-        # interpreter's, so the generic tiled executor replays the
-        # same sequence.
-        return "ascending"

@@ -12,7 +12,7 @@ Determinism contract
 Every native path executes elements in **ascending order** and maps
 each floating-point step onto the exact machine operation NumPy's
 scalar path performs (see the emitter's module docstring), so native
-eager, chained and tiled results are all bitwise identical to the
+eager and chained results are both bitwise identical to the
 sequential backend — the repo-wide acceptance bar.
 
 Fallback policy (two tiers)
@@ -20,13 +20,13 @@ Fallback policy (two tiers)
 1. *No C toolchain* (``REPRO_NATIVE_DISABLE_CC=1``, or no ``cc``/cffi):
    the backend degrades to its :class:`VectorizedBackend` base
    everywhere — still fast, still internally bitwise-consistent across
-   eager/chained/tiled.
+   eager/chained.
 2. *Toolchain present but a kernel or chain falls outside the C
    emitter's subset*: that work runs through the generic scalar paths
-   (``Backend.run_chain`` / ``run_tiled`` / an ascending
-   ``run_scalar_element`` sweep) — **never** the color-phased
-   vectorized path — so mixed nativizability cannot break the
-   ascending-order bitwise contract within a run.
+   (``Backend.run_chain`` / an ascending ``run_scalar_element`` sweep)
+   — **never** the color-phased vectorized path — so mixed
+   nativizability cannot break the ascending-order bitwise contract
+   within a run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from ..kernelc.native import (
     compiler_available,
     count_native_fallback,
 )
-from ..tiling.schedule import BarrierLoop
 from .base import Backend, LoopStats, run_scalar_element
 from .vectorized import VectorizedBackend
 
@@ -150,78 +149,3 @@ class NativeBackend(VectorizedBackend):
         t0 = time.perf_counter()
         program.run_fused()
         self._record_split(compiled.loops, time.perf_counter() - t0)
-
-    # ------------------------------------------------------------------
-    # Tiled dispatch
-    # ------------------------------------------------------------------
-    def tiled_profile(self, compiled):
-        if not compiler_available():
-            return super().tiled_profile(compiled)
-        # Native loops execute elements in plain ascending order, so
-        # cuts must slice that order (same profile as sequential).
-        return "ascending"
-
-    @staticmethod
-    def _slices_are_ascending(schedule, loops) -> bool:
-        """Belt-and-braces check that every sliced order is the plain
-        ``arange(start, n)`` the emitted C assumes (contiguous ranges
-        let tiles replay as ``[start + cuts[t], start + cuts[t+1])``)."""
-        for part in schedule.parts:
-            if isinstance(part, BarrierLoop):
-                continue
-            for k, sl in zip(part.loop_indices, part.slices):
-                bl = loops[k]
-                span = bl.n - bl.start
-                if sl.order.size != span:
-                    return False
-                if span and (
-                    int(sl.order[0]) != bl.start
-                    or int(sl.order[-1]) != bl.n - 1
-                ):
-                    return False
-        return True
-
-    def run_tiled(self, compiled) -> None:
-        if not compiler_available():
-            super().run_tiled(compiled)
-            return
-        if compiled.tiled is None:
-            self.run_chain(compiled)
-            return
-        schedule = compiled.tiled_for(self.tiled_profile(compiled))
-        if schedule is None:
-            self.run_chain(compiled)
-            return
-        program = self._chain_program(compiled)
-        if program is _UNSUPPORTED or not self._slices_are_ascending(
-            schedule, compiled.loops
-        ):
-            Backend.run_tiled(self, compiled)
-            return
-        loops = compiled.loops
-        for bl in loops:
-            for arg in bl.args:
-                arg.dat._sync()
-        t0 = time.perf_counter()
-        program._refresh()
-        for part in schedule.parts:
-            if isinstance(part, BarrierLoop):
-                j = part.loop_index
-                bl = loops[j]
-                program.loop_init(j)
-                program.run_loop(j, bl.start, bl.n)
-                program.loop_fold(j)
-                continue
-            # Reduction loops are always barriers (inspector invariant),
-            # so segment init/fold calls are no-ops kept for symmetry.
-            for j in part.loop_indices:
-                program.loop_init(j)
-            for t in range(part.n_tiles):
-                for j, sl in zip(part.loop_indices, part.slices):
-                    lo = loops[j].start + int(sl.cuts[t])
-                    hi = loops[j].start + int(sl.cuts[t + 1])
-                    if hi > lo:
-                        program.run_loop(j, lo, hi)
-            for j in part.loop_indices:
-                program.loop_fold(j)
-        self._record_split(loops, time.perf_counter() - t0)

@@ -26,14 +26,3 @@ class OpenMPBackend(Backend):
                 lo, hi = max(lo, start), min(hi, n)
                 for e in range(lo, hi):
                     run_scalar_element(scalar, args, e, reductions)
-
-    def tiled_profile(self, compiled):
-        # Block-color-major scalar sweeps are exactly the plan's
-        # two_level phase order, so the canonical ("phases") schedule
-        # slices this backend's eager sequence.  Permute-scheme plans
-        # would phase in permutation order while _run keeps block
-        # order — not sliceable; fall back to the fused program.
-        for bl in compiled.loops:
-            if not bl.plan.is_direct and bl.plan.scheme != "two_level":
-                return None
-        return "phases"

@@ -18,9 +18,3 @@ class SequentialBackend(Backend):
         scalar = kernel.scalar
         for e in range(start, n):
             run_scalar_element(scalar, args, e, reductions)
-
-    def tiled_profile(self, compiled) -> str:
-        # Plain ascending element sweeps: any monotone contiguous
-        # re-slicing of [start, n) replays the identical operation
-        # sequence, so the generic tiled executor is bitwise-safe.
-        return "ascending"

@@ -41,7 +41,6 @@ import time
 import numpy as np
 
 from ..core.access import Access
-from ..tiling.schedule import BarrierLoop
 from .base import (
     Backend,
     LoopStats,
@@ -160,8 +159,7 @@ class _PhaseExec:
         :func:`~repro.backends.base.interleave_inc_group`): several INC
         arguments targeting one Dat (res_calc's two ``p_res`` slots)
         interleave per element — the scalar kernel body's order — so
-        the operation sequence depends only on the element sequence and
-        sub-phase slicing (sparse tiling) cannot perturb it.
+        the operation sequence depends only on the element sequence.
         """
         groups: dict = {}
         for wb in self.writebacks:
@@ -432,110 +430,6 @@ class VectorizedBackend(Backend):
                 )
 
         return run_group
-
-    # ------------------------------------------------------------------
-    # Sparse-tiled execution: precompiled per-tile replay programs.
-    # ------------------------------------------------------------------
-    def run_tiled(self, compiled) -> None:
-        """Execute a tiled chain through prepared per-tile programs.
-
-        The analogue of :meth:`run_chain`'s prepared replay, transposed
-        tile-major: on first sight every segment is compiled into, per
-        tile, the list of :class:`_PhaseExec` programs for each loop's
-        sub-phases (:meth:`repro.core.plan.Plan.phase_slices`) — direct
-        contiguous slices stay zero-copy views, gather indices are
-        cached per sub-phase, increment buffers preallocated.  Replay
-        then walks tiles in ascending order running only the numpy
-        calls; each loop's sub-phases concatenate to its eager phase
-        sequence, so results are bitwise identical to eager execution
-        while consecutive loops reuse the tile's cache-resident data.
-
-        Falls back to the fused :meth:`run_chain` program whenever any
-        sliced loop cannot take the batched fast path (chunked mode,
-        scalar-only kernels, WRITE/RW races under ``two_level``) —
-        correctness is never traded for tiling.
-        """
-        if compiled.tiled is None or not self._tiled_batchable(compiled):
-            self.run_chain(compiled)
-            return
-        program = compiled.exec_cache.get((self, "tiled"))
-        if program is None:
-            program = self._prepare_tiled(compiled)
-            compiled.exec_cache[(self, "tiled")] = program
-        for run_part in program:
-            run_part()
-
-    def _tiled_batchable(self, compiled) -> bool:
-        """Whether every sliced loop can take the batched fast path."""
-        if self.batch != "color":
-            return False
-        for part in compiled.tiled.parts:
-            if isinstance(part, BarrierLoop):  # barrier loops run eagerly
-                continue
-            for k in part.loop_indices:
-                bl = compiled.loops[k]
-                if bl.kernel.vector_for(bl.args) is None:
-                    return False
-                plan = bl.plan
-                if (
-                    not plan.is_direct
-                    and plan.scheme == "two_level"
-                    and any(
-                        arg.races and arg.access is not Access.INC
-                        for arg in bl.args
-                    )
-                ):
-                    return False
-        return True
-
-    def _prepare_tiled(self, compiled):
-        """Compile the tiled schedule into zero-re-analysis closures."""
-        loops = compiled.loops
-        program = []
-        for part in compiled.tiled.parts:
-            if isinstance(part, BarrierLoop):
-                bl = loops[part.loop_index]
-
-                def run_barrier(bl=bl) -> None:
-                    self.execute(
-                        bl.kernel, bl.set, bl.args, bl.plan,
-                        n_elements=bl.n, start_element=bl.start,
-                    )
-
-                program.append(run_barrier)
-                continue
-
-            seg_loops = [loops[k] for k in part.loop_indices]
-            # tiles[t]: [(loop position, prepared sub-phase exec), ...]
-            tiles = []
-            for t in range(part.n_tiles):
-                execs = []
-                for j, bl in enumerate(seg_loops):
-                    cuts = part.slices[j].cuts
-                    lo, hi = int(cuts[t]), int(cuts[t + 1])
-                    if lo == hi:
-                        continue
-                    for sub in bl.plan.phase_slices(bl.n, bl.start, lo, hi):
-                        execs.append((j, _PhaseExec(bl, sub)))
-                tiles.append(execs)
-            stats = self.stats
-
-            def run_segment(seg_loops=seg_loops, tiles=tiles) -> None:
-                reductions = [_init_reductions(bl.args) for bl in seg_loops]
-                elapsed = [0.0] * len(seg_loops)
-                for execs in tiles:
-                    for j, pe in execs:
-                        t0 = time.perf_counter()
-                        pe.run(reductions[j])
-                        elapsed[j] += time.perf_counter() - t0
-                for j, bl in enumerate(seg_loops):
-                    _fold_reductions(bl.args, reductions[j])
-                    stats.setdefault(bl.kernel.name, LoopStats()).record(
-                        elapsed[j], bl.n - bl.start
-                    )
-
-            program.append(run_segment)
-        return program
 
     # ------------------------------------------------------------------
     # Chunked (hardware-faithful) path.

@@ -26,7 +26,6 @@ from .measured import (
     matfree_ablation,
     measured_speedups,
     native_ablation,
-    tiling_ablation,
 )
 from .tables import ALL_TABLES
 
@@ -147,16 +146,6 @@ def main(argv=None) -> int:
         print(f"[saved {chain_t.save('ablation_loop_chain', args.outdir)}]\n")
         from ..mesh import make_tri_mesh
 
-        tiling_t = tiling_ablation(
-            steps=3, tile_sizes=("auto", 512),
-            meshes={
-                ("airfoil", "48x24"): make_airfoil_mesh(48, 24),
-                ("volna", "40x30"): make_tri_mesh(40, 30, 100_000.0,
-                                                  75_000.0),
-            },
-        )
-        print(tiling_t.render())
-        print(f"[saved {tiling_t.save('ablation_tiling', args.outdir)}]\n")
         kc_t = kernelc_ablation(
             steps=3,
             meshes={
@@ -210,14 +199,11 @@ def main(argv=None) -> int:
             table = gen()
             print(table.render())
             table.save(f"BENCH_{name}", args.outdir)
-        # The loop-chain, tiling and kernelc ablations keep their
+        # The loop-chain and kernelc ablations keep their
         # acceptance-artifact names.
         table = loop_chain_ablation()
         print(table.render())
         table.save("ablation_loop_chain", args.outdir)
-        table = tiling_ablation()
-        print(table.render())
-        table.save("ablation_tiling", args.outdir)
         table = kernelc_ablation()
         print(table.render())
         table.save("ablation_kernelc", args.outdir)

@@ -50,7 +50,6 @@ def time_app(
     layout: Optional[str] = None,
     cold_caches: bool = False,
     chained: Optional[bool] = False,
-    tiling=None,
     strip_vector_forms: bool = False,
     operator: Optional[str] = None,
     cg_tol: Optional[float] = None,
@@ -64,9 +63,7 @@ def time_app(
     construction and gather-index rebuild — the caching ablation's
     baseline.  ``chained=True`` runs the time step as a deferred loop
     chain (trace → memoized fused schedule) instead of eager per-loop
-    dispatch; ``tiling`` additionally lowers the chain to a sparse-tiled
-    schedule (``"auto"`` or a seed tile size — see ``repro/tiling``).
-    ``strip_vector_forms=True`` removes any explicitly attached
+    dispatch.  ``strip_vector_forms=True`` removes any explicitly attached
     ``Kernel.vector`` callables so the batched backends must run
     kernelc-generated kernels (the kernelc ablation's knob; a no-op
     when the app ships only scalar kernels).
@@ -101,7 +98,7 @@ def time_app(
         if app == "airfoil":
             sim = AirfoilSim(
                 mesh if mesh is not None else make_airfoil_mesh(48, 24),
-                runtime=rt, chained=chained, tiling=tiling,
+                runtime=rt, chained=chained,
             )
         elif app == "volna":
             sim = VolnaSim(
@@ -109,7 +106,6 @@ def time_app(
                     28, 21, 100_000.0, 75_000.0
                 ),
                 dtype=np.float64, runtime=rt, chained=chained,
-                tiling=tiling,
             )
         elif app == "aero":
             # One "step" = one Picard iteration (assembly + CG solve);
@@ -118,7 +114,7 @@ def time_app(
             # every backend runs the same CG iteration count).
             sim = AeroSim(
                 mesh if mesh is not None else make_airfoil_mesh(24, 12),
-                runtime=rt, chained=chained, tiling=tiling,
+                runtime=rt, chained=chained,
                 cg_tol=1e-8 if cg_tol is None else cg_tol, cg_maxiter=100,
                 **({} if operator is None else {"operator": operator}),
             )
@@ -152,11 +148,11 @@ def measured_speedups(
     t = ReportTable(f"Measured backend performance - {app} (this machine)")
     for label, (backend, scheme, options) in configs.items():
         dt = time_app(app, backend, scheme, options, mesh=mesh, steps=steps)
-        t.add(Backend=label, **{"s/step": dt})
+        t.add(Backend=label, **{"ms/step": dt * 1e3})
     # Speedups from the raw times; round for display only afterwards.
-    t.add_speedup_column("s/step")
+    t.add_speedup_column("ms/step")
     for r in t.rows:
-        r["s/step"] = round(float(r["s/step"]), 4)
+        r["ms/step"] = round(float(r["ms/step"]), 3)
     t.note(
         "Python analogue of the paper's scalar-vs-intrinsics gap: "
         "batched NumPy execution is the SIMD stand-in "
@@ -337,77 +333,6 @@ def loop_chain_ablation(
     return t
 
 
-def tiling_ablation(
-    steps: int = 10,
-    tile_sizes=("auto", 4096, 16384),
-    meshes=None,
-) -> ReportTable:
-    """Sparse-tiled vs fused chained execution, tile size × backend.
-
-    Both sides are warm deferred chains replaying prepared programs —
-    the comparison isolates what tile-major execution adds on top of
-    the fused fast path: consecutive loops of a time-step segment walk
-    one cache-resident tile at a time instead of streaming the whole
-    mesh per loop (``ablation_tiling`` is the acceptance artifact:
-    warm tiled ≥ 1.1x over warm fused for at least one backend /
-    mesh-size point at paper-scale meshes).
-    """
-    from ..mesh import tile_local_renumber
-
-    if meshes is None:
-        meshes = {
-            ("airfoil", "480x240"): make_airfoil_mesh(480, 240),
-            ("airfoil", "720x360"): make_airfoil_mesh(720, 360),
-            ("volna", "340x255"): make_tri_mesh(
-                340, 255, 100_000.0, 75_000.0
-            ),
-        }
-    configs = {
-        "vectorized two_level": ("vectorized", "two_level", {}),
-        "vectorized block permute": ("vectorized", "block_permute", {}),
-    }
-    t = ReportTable(
-        "Ablation: sparse-tiled vs fused loop-chain execution (warm)"
-    )
-    t.meta.update({"steps": steps, "knob": "sparse tiling",
-                   "tile_sizes": [str(s) for s in tile_sizes]})
-    # One renumbered mesh per entry, shared by every config and tile
-    # size, keeps fused-vs-tiled apples-to-apples; the renumbering
-    # granularity follows the largest concrete size in the sweep.
-    renumber_size = max(
-        (s for s in tile_sizes if isinstance(s, int)), default=16384
-    )
-    for (app, mesh_name), mesh in meshes.items():
-        # Tile-locally renumbered input: the mesh-side half of the
-        # optimization (contiguous per-tile edge slices).
-        mesh = tile_local_renumber(mesh, renumber_size)
-        for label, (backend, scheme, options) in configs.items():
-            fused = time_app(app, backend, scheme, options, mesh=mesh,
-                             steps=steps, chained=True)
-            row = {
-                "app": app,
-                "mesh": mesh_name,
-                "Backend": label,
-                "fused ms/step": round(fused * 1e3, 2),
-            }
-            best = 0.0
-            for size in tile_sizes:
-                tiled = time_app(app, backend, scheme, options, mesh=mesh,
-                                 steps=steps, chained=True, tiling=size)
-                row[f"tile={size} ms/step"] = round(tiled * 1e3, 2)
-                best = max(best, fused / tiled)
-            row["best tiled speedup"] = round(best, 2)
-            t.add(**row)
-    t.note(
-        "Tiled chains replay the sparse-tiling inspector's schedule "
-        "(repro/tiling): per tile, every loop of a dependency segment "
-        "executes its slice while the tile's Dats are cache-resident; "
-        "results are bitwise identical to fused and eager execution. "
-        "Meshes are tile-locally renumbered (mesh/renumber.py)."
-    )
-    return t
-
-
 def kernelc_ablation(
     steps: int = 5,
     meshes=None,
@@ -475,20 +400,18 @@ def aero_ablation(
     assemble+solve pipeline end to end.  Results are bitwise identical
     across every row (the aero acceptance property), so the comparison
     is pure execution efficiency: scalar interpretation vs generated
-    scalar stubs vs batched vectorized execution, eager vs chained vs
-    tiled dispatch.
+    scalar stubs vs batched vectorized execution, eager vs chained
+    dispatch.
     """
     if mesh is None:
         mesh = make_airfoil_mesh(72, 36)
     configs = {
-        "scalar (sequential)": ("sequential", "two_level", {}, False, None),
+        "scalar (sequential)": ("sequential", "two_level", {}, False),
         "scalar generated stub (codegen)": ("codegen", "two_level", {},
-                                            False, None),
-        "vectorized eager": ("vectorized", "two_level", {}, False, None),
-        "vectorized chained": ("vectorized", "two_level", {}, True, None),
-        "vectorized tiled (auto)": ("vectorized", "two_level", {}, True,
-                                    "auto"),
-        "autovec chained": ("autovec", "full_permute", {}, True, None),
+                                            False),
+        "vectorized eager": ("vectorized", "two_level", {}, False),
+        "vectorized chained": ("vectorized", "two_level", {}, True),
+        "autovec chained": ("autovec", "full_permute", {}, True),
     }
     t = ReportTable("Ablation: aero FEM assembly + CG solve (warm caches)")
     t.meta.update({
@@ -496,10 +419,10 @@ def aero_ablation(
         "mesh_cells": mesh.cells.size,
     })
     times = {}
-    for label, (backend, scheme, options, chained, tiling) in configs.items():
+    for label, (backend, scheme, options, chained) in configs.items():
         times[label] = time_app(
             "aero", backend, scheme, options, mesh=mesh, steps=steps,
-            repeats=repeats, chained=chained, tiling=tiling,
+            repeats=repeats, chained=chained,
         )
     base = times["scalar (sequential)"]
     eager = times["vectorized eager"]
@@ -541,16 +464,11 @@ def native_ablation(
     if mesh is None:
         mesh = make_airfoil_mesh(48, 24)
     configs = {
-        ("airfoil", "native chained"): ("airfoil", "native", True, None),
-        ("airfoil", "native tiled (auto)"): ("airfoil", "native", True,
-                                             "auto"),
-        ("airfoil", "vectorized chained"): ("airfoil", "vectorized", True,
-                                            None),
-        ("airfoil", "scalar (sequential)"): ("airfoil", "sequential",
-                                             False, None),
-        ("volna", "native chained"): ("volna", "native", True, None),
-        ("volna", "vectorized chained"): ("volna", "vectorized", True,
-                                          None),
+        ("airfoil", "native chained"): ("airfoil", "native", True),
+        ("airfoil", "vectorized chained"): ("airfoil", "vectorized", True),
+        ("airfoil", "scalar (sequential)"): ("airfoil", "sequential", False),
+        ("volna", "native chained"): ("volna", "native", True),
+        ("volna", "vectorized chained"): ("volna", "vectorized", True),
     }
     t = ReportTable(
         "Ablation: native C chain replay vs vectorized fast path (warm)"
@@ -560,11 +478,11 @@ def native_ablation(
         "compiler_available": bool(compiler_available()),
     })
     times = {}
-    for key, (app, backend, chained, tiling) in configs.items():
+    for key, (app, backend, chained) in configs.items():
         m = mesh if app == "airfoil" else None
         times[key] = time_app(
             app, backend, "two_level", {}, mesh=m, steps=steps,
-            repeats=repeats, chained=chained, tiling=tiling,
+            repeats=repeats, chained=chained,
         )
     for (app, label), dt in times.items():
         vec = times[(app, "vectorized chained")]
@@ -684,22 +602,21 @@ def autotune_ablation(
             "aero": make_airfoil_mesh(16, 8),
         }
     hand = {
-        "vectorized eager": ("vectorized", False, None),
-        "vectorized chained": ("vectorized", True, None),
-        "vectorized tiled (auto)": ("vectorized", True, "auto"),
+        "vectorized eager": ("vectorized", False),
+        "vectorized chained": ("vectorized", True),
     }
     if compiler_available():
-        hand["native chained"] = ("native", True, None)
+        hand["native chained"] = ("native", True)
     t = ReportTable(
         "Ablation: auto-tuned runtime vs best hand-picked configuration"
     )
     t.meta.update({"steps": steps, "repeats": repeats, "knob": "autotune"})
     for app, mesh in meshes.items():
         hand_times = {}
-        for label, (backend, chained, tiling) in hand.items():
+        for label, (backend, chained) in hand.items():
             hand_times[label] = time_app(
                 app, backend, "two_level", {}, mesh=mesh, steps=steps,
-                repeats=repeats, chained=chained, tiling=tiling,
+                repeats=repeats, chained=chained,
             )
         auto = time_app(
             app, "auto", "two_level", {}, mesh=mesh, steps=steps,
@@ -719,7 +636,7 @@ def autotune_ablation(
     t.meta["tune_cache"] = tune_cache_stats()
     t.note(
         "Runtime(\"auto\") profiles the traced chain, ranks candidate "
-        "(backend, layout, dispatch, tile) configurations with the "
+        "(backend, layout, dispatch) configurations with the "
         "perfmodel roofline, probes the top few, and persists the "
         "winner in the on-disk tuning DB (repro/tune); later runs "
         "replay the decision with zero probes.  Ratios near 1.0 mean "

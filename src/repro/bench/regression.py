@@ -55,8 +55,6 @@ SPECS: List[Tuple[str, Tuple[str, ...], str, Optional[str]]] = [
     ("BENCH_quick_batch", ("scheme",), "speedup vs chunked", None),
     ("ablation_loop_chain", ("app", "Backend"), "chained speedup",
      "scalar"),
-    ("ablation_tiling", ("app", "mesh", "Backend"), "best tiled speedup",
-     None),
     ("ablation_kernelc", ("app", "mesh"), "vec speedup vs stub", None),
     ("ablation_aero", ("Backend",), "speedup vs vec eager", "scalar"),
     ("ablation_native", ("app", "Backend"), "native speedup vs vec",

@@ -2,7 +2,7 @@
 
 The persistent store (:mod:`repro.store`) promises that a second
 process running the same workload replays everything from disk — zero
-plan construction, zero tiling inspection, zero kernel emission, zero
+plan construction, zero chain compilation, zero kernel emission, zero
 native compiles.  This module makes that promise executable:
 
 ``python -m repro.bench.warmstart run --out stats.json``
@@ -14,7 +14,7 @@ native compiles.  This module makes that promise executable:
 ``python -m repro.bench.warmstart check cold.json warm.json``
     enforces the warm-start acceptance on two such dumps: the warm
     process must show ``disk_hits > 0`` and ``builds == 0`` for plan /
-    chain / tiled / kernelc, and ``compiles == 0`` for native;
+    chain / kernelc, and ``compiles == 0`` for native;
 
 ``python -m repro.bench.warmstart corrupt --fraction 0.3 --seed 7``
     garbles a deterministic random subset of the store's files, for the
@@ -42,10 +42,10 @@ from typing import Dict, List, Optional
 
 #: Kinds the warm acceptance pins: a replaying process must hit disk
 #: and construct nothing for each of these.
-CHECKED_KINDS = ("plan", "chain", "tiled", "kernelc")
+CHECKED_KINDS = ("plan", "chain", "kernelc")
 
 #: All persistent kinds dumped for the CI artifact.
-PERSISTED_KINDS = ("plan", "chain", "tiled", "kernelc", "native", "tune")
+PERSISTED_KINDS = ("plan", "chain", "kernelc", "native", "tune")
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +55,7 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
     """One cold-or-warm measurement in the current process.
 
     ``aero`` runs Picard steps (assembly + CG) on the vectorized
-    backend, chained + tiled — exercising the plan, chain, tiled and
-    kernelc stores.  ``airfoil`` replays its chain on the native
+    backend, chained — exercising the plan, chain and kernelc stores.  ``airfoil`` replays its chain on the native
     backend when a C compiler is available (vectorized otherwise) —
     exercising the native ``.so`` store.  The store under
     ``$REPRO_CACHE_DIR`` decides whether this process is cold or warm.
@@ -70,7 +69,7 @@ def run_workload(apps: List[str], steps: int = 2) -> Dict:
     if "aero" in apps:
         time_app("aero", "vectorized", "two_level", {},
                  mesh=make_airfoil_mesh(24, 12), steps=steps,
-                 chained=True, tiling="auto")
+                 chained=True)
     if "airfoil" in apps:
         backend = "native" if compiler_available() else "vectorized"
         time_app("airfoil", backend, "two_level", {},
@@ -161,7 +160,7 @@ def cold_warm_ablation(steps: int = 2):
     """Cold vs warm *process* wall time for the aero Picard workload.
 
     Two subprocesses run the identical workload against one fresh
-    shared store: the first pays plan construction, tiling inspection
+    shared store: the first pays plan construction, chain compilation
     and kernel emission; the second replays everything from disk
     (``ablation_cold_warm`` is the acceptance artifact: the warm
     process must not be slower, and the warm-start counters must show
@@ -192,7 +191,6 @@ def cold_warm_ablation(steps: int = 2):
                     ),
                     "plan builds": stats["plan"]["builds"],
                     "chain builds": stats["chain"]["builds"],
-                    "tiled builds": stats["tiled"]["builds"],
                     "kernelc builds": stats["kernelc"]["builds"],
                     "disk hits": sum(
                         stats[k]["disk_hits"] for k in CHECKED_KINDS
@@ -201,9 +199,9 @@ def cold_warm_ablation(steps: int = 2):
             )
     t.note(
         "Both processes run the identical aero Picard workload "
-        "(vectorized, chained + tiled) against one shared "
+        "(vectorized, chained) against one shared "
         "REPRO_CACHE_DIR.  The warm row replays persisted plans, "
-        "fused chains, tiled schedules and generated kernels with "
+        "fused chains and generated kernels with "
         "zero expensive constructions; `warm speedup` is whole-"
         "workload wall time, so it bundles every avoided inspector."
     )

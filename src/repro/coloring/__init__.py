@@ -20,7 +20,6 @@ from .permute import (
     element_colors_by_block,
     full_permute,
 )
-from .tiles import color_tiles, is_valid_tile_coloring, pack_tile_targets
 
 __all__ = [
     "BlockLayout",
@@ -29,16 +28,13 @@ __all__ = [
     "block_permute",
     "color_blocks",
     "color_elements",
-    "color_tiles",
     "conflict_targets",
     "element_colors_by_block",
     "full_permute",
     "greedy_color",
     "is_valid_block_coloring",
     "is_valid_coloring",
-    "is_valid_tile_coloring",
     "jp_color",
     "make_blocks",
-    "pack_tile_targets",
     "racing_slots",
 ]

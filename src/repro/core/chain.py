@@ -315,42 +315,18 @@ class FusedGroup:
 class CompiledChain:
     """A pre-analyzed schedule for one trace signature.
 
-    Carries one or two lowerings of the same trace:
-
-    * the **fused program** (``groups``) — loop-major execution with
-      adjacent compatible loops phase-interleaved; always present;
-    * optionally a **tiled schedule** (``tiled``) — the sparse-tiling
-      inspector's tile-major decomposition (:mod:`repro.tiling`),
-      present when the chain was traced with ``tiling=``.  Backends
-      execute it through :meth:`~repro.backends.base.Backend.run_tiled`
-      (falling back to the fused program when they cannot slice
-      bitwise-safely).
+    Execution is loop-major: ``groups`` runs in order, each multi-loop
+    group phase-interleaved over its shared plan (see
+    :class:`FusedGroup`).
     """
 
     groups: Tuple[FusedGroup, ...]
     analysis: ChainAnalysis
-    #: The ``tiling=`` request this chain was compiled under
-    #: (``None`` | ``"auto"`` | int) — part of the cache key.
-    tiling: object = None
-    #: Resolved seed tile size (0 when untiled).
-    tile_size: int = 0
-    #: Canonical (``"phases"`` profile) tiled schedule, or ``None``.
-    tiled: object = None
-    #: Persistent-store key of this chain (:func:`repro.store.chain_key`),
-    #: or ``None`` for unkeyable traces (explicit plan overrides).  Set
-    #: by the runtime; lazily-built tiled profiles use it to consult the
-    #: tiled store before re-running the inspector.
-    store_key: Optional[str] = field(default=None, compare=False, repr=False)
     #: Per-backend prepared executor programs (populated lazily by
     #: backends that specialize replay, e.g. the vectorized backend's
     #: prebound gather/kernel/scatter closures).  Keyed by backend
     #: instance; invalidated with the chain cache itself.
     exec_cache: Dict = field(default_factory=dict, compare=False, repr=False)
-    #: Lazily-built tiled schedules for non-canonical element orders
-    #: (the scalar backends' ``"ascending"`` profile).
-    _tiled_profiles: Dict = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @property
     def n_loops(self) -> int:
@@ -361,74 +337,15 @@ class CompiledChain:
         """The flat plan-resolved loop list, recorded order."""
         return tuple(bl for g in self.groups for bl in g.loops)
 
-    def tiled_for(self, profile: str):
-        """The tiled schedule sliced against one eager element order.
 
-        ``"phases"`` returns the canonical schedule built at compile
-        time; other profiles are produced by re-running the inspector
-        against that profile's element order (memoized — the cuts
-        differ per order because bitwise identity requires slicing each
-        backend's *own* eager sequence contiguously).  ``None`` when
-        the chain was not compiled with tiling.
-        """
-        if self.tiled is None:
-            return None
-        if profile == "phases":
-            return self.tiled
-        sched = self._tiled_profiles.get(profile)
-        if sched is None:
-            sched = load_or_build_tiled(
-                self.store_key, self.loops, self.tile_size, profile
-            )
-            self._tiled_profiles[profile] = sched
-        return sched
-
-
-def load_or_build_tiled(store_key, loops, tile_size: int, profile: str):
-    """One tiled schedule, through the persistent ``tiled`` store.
-
-    A warm process replays the inspector's slicing decisions from disk
-    — zero tiling inspection; a cold (or unkeyable: ``store_key=None``)
-    one runs the inspector, counts the build, and persists the result.
-    """
-    from .. import store
-    from ..tiling import build_tiled_schedule
-
-    tstore = store.store_for("tiled")
-    tkey = (
-        store.tiled_key(store_key, tile_size, profile)
-        if store_key is not None
-        else None
-    )
-    payload = tstore.get(tkey)
-    if payload is not None:
-        try:
-            return store.decode_tiled(payload)
-        except Exception:
-            store.bump("tiled", "corrupt")
-            store.unlink_quiet(tstore.path_for(tkey))
-    store.count_build("tiled")
-    sched = build_tiled_schedule(loops, tile_size, profile=profile)
-    tstore.put(tkey, store.encode_tiled(sched))
-    return sched
-
-
-def compile_chain(
-    specs: Sequence[LoopSpec], runtime, tiling=None, store_key=None
-) -> CompiledChain:
-    """Validate, resolve plans, fuse, analyze — and optionally tile.
+def compile_chain(specs: Sequence[LoopSpec], runtime) -> CompiledChain:
+    """Validate, resolve plans, fuse and analyze.
 
     Validation happens here — once per distinct trace signature —
     rather than per recorded call: a malformed loop raises at the first
     flush of the trace containing it, and a memoized replay (which by
     construction re-records a previously validated sequence) pays no
     validation at all.
-
-    With ``tiling`` (``"auto"`` or a seed tile size) the sparse-tiling
-    inspector additionally lowers the trace into a
-    :class:`~repro.tiling.schedule.TiledSchedule` attached to the
-    result; the runtime's chain cache keys on the tiling request, so
-    tiled and untiled compilations of the same trace coexist.
     """
     from .loop import validate_loop
 
@@ -470,24 +387,8 @@ def compile_chain(
             )
         )
 
-    tiled = None
-    tile_size = 0
-    if tiling is not None:
-        from ..tiling import auto_tile_size, check_tiling
-
-        tiling = check_tiling(tiling)
-        tile_size = (
-            auto_tile_size(bound) if tiling == "auto" else int(tiling)
-        )
-        tiled = load_or_build_tiled(store_key, bound, tile_size, "phases")
-
     return CompiledChain(
-        groups=tuple(groups),
-        analysis=analyze_dependencies(specs),
-        tiling=tiling,
-        tile_size=tile_size,
-        tiled=tiled,
-        store_key=store_key,
+        groups=tuple(groups), analysis=analyze_dependencies(specs)
     )
 
 
@@ -502,14 +403,8 @@ class LoopChain:
     executing.  See the module docstring for flush semantics.
     """
 
-    def __init__(self, runtime, tiling=None) -> None:
-        from ..tiling import check_tiling
-
+    def __init__(self, runtime) -> None:
         self.runtime = runtime
-        #: Sparse-tiling request: ``None`` (fused loop-major execution),
-        #: ``"auto"`` or a seed tile size (tile-major execution through
-        #: the inspector/executor of :mod:`repro.tiling`).
-        self.tiling = check_tiling(tiling)
         self._specs: List[LoopSpec] = []
         self._touched: List[object] = []
         self._flushing = False
@@ -575,14 +470,11 @@ class LoopChain:
             return
         specs, self._specs = self._specs, []
         self._disarm()
-        compiled = self.runtime.compiled_chain_for(specs, tiling=self.tiling)
+        compiled = self.runtime.compiled_chain_for(specs)
         self._flushing = True
         t0 = time.perf_counter()
         try:
-            if compiled.tiled is not None:
-                self.runtime.backend.run_tiled(compiled)
-            else:
-                self.runtime.backend.run_chain(compiled)
+            self.runtime.backend.run_chain(compiled)
         finally:
             self._flushing = False
         # Per-chain wall time for stats()["profile"] (repro/tune): one
@@ -592,7 +484,6 @@ class LoopChain:
             profile.record_chain(
                 tuple(s.kernel.name for s in specs),
                 time.perf_counter() - t0,
-                tiled=compiled.tiled is not None,
             )
         self.flushed_loops += len(specs)
         self.flushes += 1
@@ -626,10 +517,8 @@ class LoopChain:
             self.flush()
 
 
-def chain(runtime=None, tiling=None) -> LoopChain:
+def chain(runtime=None) -> LoopChain:
     """Module-level convenience: a chain over the default runtime."""
     from .runtime import default_runtime
 
-    return LoopChain(
-        runtime if runtime is not None else default_runtime(), tiling=tiling
-    )
+    return LoopChain(runtime if runtime is not None else default_runtime())

@@ -20,9 +20,9 @@ a different answer per backend/scheme.  We split assembly in two:
    flat ``(rmap.arity * cmap.arity,)`` local-matrix row of a staging
    ``Dat`` on the iteration set (``K[cmap.arity * i + j]`` is local
    entry ``(i, j)``).  Every element owns its row, so the par_loop is
-   race-free on every backend, under every scheme, layout, chaining and
-   tiling mode — and the staged values are *bitwise identical* across
-   all of them.
+   race-free on every backend, under every scheme, layout and chaining
+   mode — and the staged values are *bitwise identical* across all of
+   them.
 2. **Canonical reduction** — :meth:`Mat.assemble` folds the staged
    contributions into CSR in one fixed order: CSR slot major, element
    minor, each slot summed left to right from ``0.0`` over a
@@ -35,7 +35,7 @@ a different answer per backend/scheme.  We split assembly in two:
 
 The assembled CSR is therefore a pure function of the mesh and the
 kernel: the reproducibility guarantee the aero acceptance tests pin over
-the whole backend x layout x {eager, chained, tiled} matrix.
+the whole backend x layout x {eager, chained} matrix.
 
 The solver view
 ---------------
@@ -299,7 +299,7 @@ class Mat:
         over :attr:`fold_table` (CSR-slot-major, element-minor, padded
         entries contributing an exact ``+0.0``) — a fixed, term-for-term
         replicable summation order, independent of backend, scheme,
-        layout, chaining and tiling, and reproduced bit for bit by the
+        layout and chaining, and reproduced bit for bit by the
         matrix-free coefficient kernels.
         """
         self._ensure_sparsity()

@@ -131,21 +131,6 @@ class Phase:
             self._counters["hits"] = self._counters.get("hits", 0) + 1
         return idx
 
-    def slice(self, lo: int, hi: int) -> "Phase":
-        """A sub-phase over ``elems[lo:hi]`` (the tiled executor's unit).
-
-        The slice preserves the parent's element order and ``serialize``
-        flag, so executing a phase as a sequence of its slices performs
-        the exact same operations in the exact same order — the bitwise
-        foundation of sparse tiling (``repro/tiling``).  Shares the
-        parent's gather-stats counters; index arrays are cached on the
-        sub-phase itself (sub-phases are long-lived, held by prepared
-        tile programs).
-        """
-        return Phase(
-            self.elems[lo:hi], self.serialize, counters=self._counters
-        )
-
 
 @dataclass
 class Plan:
@@ -187,10 +172,6 @@ class Plan:
     build_stats: Dict[str, float] = field(default_factory=dict)
     #: Memoized whole-color phase lists, keyed by ``(n, start)``.
     _phase_cache: Dict[Tuple[int, int], List[Phase]] = field(
-        default_factory=dict, repr=False
-    )
-    #: Memoized canonical element orders / phase offsets.
-    _order_cache: Dict[Tuple, np.ndarray] = field(
         default_factory=dict, repr=False
     )
     #: Gather-index cache accounting shared by all this plan's phases.
@@ -240,66 +221,6 @@ class Plan:
         phases = self._build_phases(int(n), int(start))
         self._phase_cache[key] = phases
         return phases
-
-    # ------------------------------------------------------------------
-    # Per-tile iteration slices (the sparse-tiling executor's view).
-    # ------------------------------------------------------------------
-    def phase_offsets(self, n: int, start: int = 0) -> np.ndarray:
-        """Cumulative start positions of each phase in the canonical
-        order: ``offsets[p] .. offsets[p+1]`` are phase ``p``'s
-        positions; ``offsets[-1]`` is the total element count."""
-        key = ("offsets", int(n), int(start))
-        cached = self._order_cache.get(key)
-        if cached is None:
-            sizes = [ph.elems.size for ph in self.phases(n, start)]
-            cached = np.concatenate(
-                ([0], np.cumsum(sizes, dtype=np.int64))
-            ) if sizes else np.zeros(1, dtype=np.int64)
-            self._order_cache[key] = cached
-        return cached
-
-    def execution_order(self, n: int, start: int = 0) -> np.ndarray:
-        """The canonical element execution order over ``[start, n)``:
-        the concatenation of the plan's color phases.  This is the order
-        the whole-color batched backends (and the plan-ordered scalar
-        backends) perform their per-element operations in; the sparse-
-        tiling inspector slices against it."""
-        key = ("order", int(n), int(start))
-        cached = self._order_cache.get(key)
-        if cached is None:
-            phases = self.phases(n, start)
-            cached = (
-                np.concatenate([ph.elems for ph in phases])
-                if phases else np.empty(0, dtype=np.int64)
-            )
-            self._order_cache[key] = cached
-        return cached
-
-    def phase_slices(
-        self, n: int, start: int, lo: int, hi: int
-    ) -> List["Phase"]:
-        """The phases (or sub-phases) covering canonical positions
-        ``[lo, hi)`` — one tile's slice of this plan's schedule.
-
-        Whole phases are returned by reference (sharing their cached
-        gather indices); partial overlaps become :meth:`Phase.slice`
-        sub-phases.  Executing the returned list for consecutive
-        ``[lo, hi)`` windows replays the eager phase sequence
-        operation-for-operation.
-        """
-        phases = self.phases(n, start)
-        offsets = self.phase_offsets(n, start)
-        out: List[Phase] = []
-        for p, ph in enumerate(phases):
-            p_lo, p_hi = int(offsets[p]), int(offsets[p + 1])
-            s, e = max(lo, p_lo), min(hi, p_hi)
-            if s >= e:
-                continue
-            if s == p_lo and e == p_hi:
-                out.append(ph)
-            else:
-                out.append(ph.slice(s - p_lo, e - p_lo))
-        return out
 
     def _build_phases(self, n: int, start: int) -> List["Phase"]:
         stats = self.gather_stats

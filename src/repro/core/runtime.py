@@ -6,7 +6,7 @@ backend chosen at build/run time; here the same separation is a runtime
 case (serial experimentation) zero-ceremony, while benchmarks construct
 isolated runtimes per configuration.
 
-Four cache levels keep steady-state execution cheap:
+Four in-process cache levels keep steady-state execution cheap:
 
 1. the structural :class:`~repro.core.plan.PlanCache` (coloring reused by
    every loop with the same racing access structure),
@@ -27,7 +27,8 @@ Four cache levels keep steady-state execution cheap:
 
 All of them are LRU-bounded (configurable ``*_entries`` knobs) so
 long-running processes cannot grow them without bound;
-:meth:`Runtime.stats` exposes the hit/miss/eviction counters.
+:meth:`Runtime.stats` exposes their hit/miss/eviction counters together
+with the native-compile cache and the tuning DB — six kinds in all.
 """
 
 from __future__ import annotations
@@ -135,12 +136,11 @@ class Runtime:
     ``backend="auto"`` requests the auto-tuning runtime
     (:mod:`repro.tune`): execution starts on the vectorized default,
     and the first app driver constructed over this runtime negotiates
-    ``(backend, layout, tile size, chained-vs-eager)`` — replaying a
-    persisted decision when the tuning DB has one for this machine and
-    workload, probing otherwise.  Explicit knobs (``layout=...``, a
-    driver's ``chained=``/``tiling=``) are pins the tuner never
-    overrides, and results stay bitwise identical to sequential eager
-    whatever configuration wins.
+    ``(backend, layout, chained-vs-eager)`` — replaying a persisted
+    decision when the tuning DB has one for this machine and workload,
+    probing otherwise.  Explicit knobs (``layout=...``, a driver's
+    ``chained=``) are pins the tuner never overrides, and results stay
+    bitwise identical to sequential eager whatever configuration wins.
     """
 
     def __init__(
@@ -225,42 +225,37 @@ class Runtime:
     # ------------------------------------------------------------------
     # Deferred execution (see core/chain.py).
     # ------------------------------------------------------------------
-    def chain(self, tiling=None) -> LoopChain:
+    def chain(self) -> LoopChain:
         """A fresh deferred-execution trace bound to this runtime.
 
         Use as a context manager: ``with runtime.chain() as ch:`` —
         ``par_loop`` calls against this runtime record instead of
         executing until the block exits (or a traced Dat/Global is read).
-
-        ``tiling`` selects the sparse-tiled lowering
-        (:mod:`repro.tiling`): ``"auto"`` picks a cache-sized seed tile,
-        an int fixes the seed tile size, ``None`` (default) keeps the
-        fused loop-major execution.  Results are bitwise identical in
-        every mode.
         """
-        return LoopChain(self, tiling=tiling)
+        return LoopChain(self)
 
     def compiled_chain_for(
         self, specs: Sequence[LoopSpec], tiling=None
     ) -> CompiledChain:
         """Compiled schedule for a trace, through the chain cache.
 
-        The cache key is the tiling request plus the tuple of per-loop
-        structural signatures (kernel, set, per-arg dat/map/slot/access
-        identities, range), so a steady-state time step that re-records
-        the same loop sequence replays its memoized schedule — no
-        dependency analysis, fusion, tiling inspection or plan lookup
-        at all — while tiled and untiled compilations of the same trace
-        coexist as distinct cache entry kinds.
+        The cache key is the tuple of per-loop structural signatures
+        (kernel, set, per-arg dat/map/slot/access identities, range), so
+        a steady-state time step that re-records the same loop sequence
+        replays its memoized schedule — no dependency analysis, fusion
+        or plan lookup at all.
         """
-        key = (tiling, tuple(spec.key() for spec in specs))
+        # ``tiling`` stays for perfbench/worker.py::capture_cycle's call.
+        if tiling is not None:
+            raise ValueError(f"tiling must be None, got {tiling!r}")
+        key = tuple(spec.key() for spec in specs)
         compiled = self._chains.get(key)
         if compiled is not None:
             self.chain_cache_hits += 1
             self._chains.move_to_end(key)
             return compiled
         self.chain_cache_misses += 1
-        compiled = self._load_or_compile_chain(specs, tiling)
+        compiled = self._load_or_compile_chain(specs)
         self._chains[key] = compiled
         if self.chain_cache_entries is not None:
             while len(self._chains) > self.chain_cache_entries:
@@ -269,23 +264,22 @@ class Runtime:
         return compiled
 
     def _load_or_compile_chain(
-        self, specs: Sequence[LoopSpec], tiling
+        self, specs: Sequence[LoopSpec]
     ) -> CompiledChain:
         """Memory-miss path: persistent chain store, then compilation.
 
         A warm process decodes the persisted fusion/analysis decisions
         and rebinds them over the live trace (plans resolve through
         :meth:`plan_for`, whose structural cache has its own disk
-        layer), attaching the tiled schedule from the tiled store —
-        zero validation, dependency analysis, fusion or tiling
-        inspection.  Decode failures count as corrupt and fall back to
-        a full compile; traces with explicit plan overrides are
-        unkeyable (``chain_key`` returns ``None``) and always compile.
+        layer) — zero validation, dependency analysis or fusion.
+        Decode failures count as corrupt and fall back to a full
+        compile; traces with explicit plan overrides are unkeyable
+        (``chain_key`` returns ``None``) and always compile.
         """
         from .. import store
 
         skey = store.chain_key(
-            specs, tiling, self.block_size, self.scheme, self.coloring_method
+            specs, self.block_size, self.scheme, self.coloring_method
         )
         cstore = store.store_for("chain")
         payload = cstore.get(skey)
@@ -299,21 +293,9 @@ class Runtime:
                 store.bump("chain", "corrupt")
                 store.unlink_quiet(cstore.path_for(skey))
             else:
-                object.__setattr__(compiled, "store_key", skey)
-                if compiled.tiling is not None:
-                    from .chain import load_or_build_tiled
-
-                    object.__setattr__(
-                        compiled,
-                        "tiled",
-                        load_or_build_tiled(
-                            skey, compiled.loops, compiled.tile_size,
-                            "phases",
-                        ),
-                    )
                 return compiled
         store.count_build("chain")
-        compiled = compile_chain(specs, self, tiling=tiling, store_key=skey)
+        compiled = compile_chain(specs, self)
         cstore.put(skey, store.encode_chain(compiled))
         return compiled
 
@@ -329,18 +311,8 @@ class Runtime:
         self.chain_cache_misses = 0
         self.chain_cache_evictions = 0
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Counters for the caching ablation tables."""
-        return {
-            "loop_hits": self.loop_cache_hits,
-            "loop_misses": self.loop_cache_misses,
-            "plan_hits": self.plans.hits,
-            "plan_misses": self.plans.misses,
-            "plans": len(self.plans),
-        }
-
     def stats(self) -> Dict[str, object]:
-        """All runtime counters: the seven cache kinds, backend
+        """All runtime counters: the six cache kinds, backend
         per-kernel timings, and the loop/chain profile.
 
         Every cache kind reports the canonical ``hits`` / ``misses`` /
@@ -349,8 +321,8 @@ class Runtime:
         its historical ``compiles``/``disk_hits``/``mem_hits`` keys as
         deprecated aliases) — the observability surface for
         long-running processes (are my caches sized right? is steady
-        state hitting?).  The six persistent kinds (plan, chain, tiled,
-        kernelc, native, tune) additionally carry a ``store`` sub-dict
+        state hitting?).  The five persistent kinds (plan, chain, kernelc,
+        native, tune) additionally carry a ``store`` sub-dict
         with the uniform disk-layer counters of :mod:`repro.store`
         (``disk_hits`` / ``disk_misses`` / ``writes`` / ``corrupt`` /
         ``evictions`` / ``builds`` + ``disk_entries``) — the loop cache
@@ -381,11 +353,6 @@ class Runtime:
         native["evictions"] = 0
         native["max_entries"] = None
 
-        # Tiled schedules have no in-memory LRU of their own (they live
-        # on the compiled chains that own them), so the canonical keys
-        # mirror the disk layer.
-        tiled_store = artifact_store.store_stats("tiled")
-
         return {
             "loop_cache": {
                 "hits": self.loop_cache_hits,
@@ -408,14 +375,6 @@ class Runtime:
                 "entries": len(self._chains),
                 "max_entries": self.chain_cache_entries,
             }, "chain"),
-            "tiled_cache": {
-                "hits": tiled_store["disk_hits"],
-                "misses": tiled_store["disk_misses"],
-                "evictions": tiled_store["evictions"],
-                "entries": tiled_store["disk_entries"],
-                "max_entries": tiled_store["max_entries"],
-                "store": tiled_store,
-            },
             # Kernel-compilation cache (repro.kernelc): process-wide,
             # since generated kernels depend only on (kernel, shape).
             "kernelc_cache": with_store(cache_stats(), "kernelc"),
@@ -467,8 +426,8 @@ class Runtime:
     def apply_decision(self, decision) -> "Runtime":
         """Install a :class:`~repro.tune.TuneDecision` on this runtime.
 
-        Backend and layout are runtime-wide; the chained/tiling half of
-        a decision lives on the sims (``repro.tune.apps`` applies it).
+        Backend and layout are runtime-wide; the chained half of a
+        decision lives on the sims (``repro.tune.apps`` applies it).
         """
         self.configure(backend=decision.backend, layout=decision.layout)
         self.tuned_decision = decision

@@ -33,8 +33,8 @@ Source text is content-hashed (:func:`source_key`); compiled shared
 objects live in memory per process and on disk under
 ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro_native``) keyed by
 that hash, so warm processes skip the compiler entirely.  This is the
-sixth cache kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
-loop → plan → chain → tiled → kernelc → native.
+fifth cache kind surfaced by :meth:`repro.core.runtime.Runtime.stats`:
+loop → plan → chain → kernelc → native.
 
 Anything outside the translatable subset raises
 :class:`NativeUnsupported`; the native backend then falls back (see
@@ -1458,18 +1458,6 @@ class NativeChainProgram:
     def run_fused(self) -> None:
         self._refresh()
         self.lib.kc_run_fused(self._ptab)
-
-    def run_loop(self, j: int, lo: int, hi: int) -> None:
-        self.lib.kc_loop_run(j, self._ptab, lo, hi)
-
-    def loop_init(self, j: int) -> None:
-        self.lib.kc_loop_init(j)
-
-    def loop_fold(self, j: int) -> None:
-        self.lib.kc_loop_fold(j, self._ptab)
-
-    def loop_partial(self, j: int) -> None:
-        self.lib.kc_loop_partial(j, self._ptab)
 
     def run_eager(self, args, reductions: Dict[int, np.ndarray]) -> None:
         """Single-loop eager entry: run loop 0 of this program over the

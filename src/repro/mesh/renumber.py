@@ -100,23 +100,19 @@ def rcm_renumber_cells(mesh: UnstructuredMesh) -> UnstructuredMesh:
 def tile_local_renumber(
     mesh: UnstructuredMesh, tile_size: int
 ) -> UnstructuredMesh:
-    """Renumber edge-like sets so sparse tiles gather contiguously.
+    """Renumber edge-like sets for cell-block edge locality.
 
-    The sparse-tiling inspector (:mod:`repro.tiling`) seeds tiles as
-    contiguous cell ranges and places each edge in (at least) the tile
-    of its highest-numbered adjacent cell.  With an arbitrary edge
-    numbering a tile's edge slice is a contiguous run of *positions*
-    but the edges' own data (``flux``, ``speed``, the toy problems'
-    per-edge state) is scattered across memory.  This transform stably
-    reorders ``edges`` and ``bedges`` by that same
-    max-adjacent-cell-tile key, so each tile's edge slice becomes a
-    contiguous ascending id range: direct per-edge Dats stream, and the
-    tile's whole working set is physically compact.
+    Cells are grouped into blocks of ``tile_size`` consecutive ids, and
+    ``edges`` / ``bedges`` are stably reordered by the block of their
+    highest-numbered adjacent cell.  Consecutive edges then touch a
+    narrow, ascending window of cells, so an edge loop's indirect cell
+    gathers and increments stay within a cache-sized range while its
+    direct per-edge Dats stream.  Cell numbering is unchanged.
 
-    Stability preserves the relative order of edges within a tile, and
+    Stability preserves the relative order of edges within a block, and
     the transform is a pure mesh preprocessing — results on the
     renumbered mesh are internally bitwise consistent across execution
-    modes (eager / chained / tiled), like any other renumbering.
+    modes (eager / chained), like any other renumbering.
     """
     if tile_size < 1:
         raise ValueError(f"tile_size must be >= 1, got {tile_size}")

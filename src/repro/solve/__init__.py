@@ -3,8 +3,8 @@
 The aero workload closes with a conjugate-gradient solve; instead of a
 host-side solver this package expresses SpMV and the CG vector updates
 as ordinary parallel loops, so the solver inherits every runtime
-capability for free: backend choice, data layouts, deferred-execution
-tracing (``runtime.chain``) and sparse tiling.  Scalar reductions (dot
+capability for free: backend choice, data layouts and deferred-execution
+tracing (``runtime.chain``).  Scalar reductions (dot
 products) are the deliberate exception — they read flushed ``Dat`` data
 on the host in a fixed order, which keeps every CG scalar (and with it
 the iterate sequence) bitwise identical across backends.

@@ -128,7 +128,6 @@ def cg(
     tol: float = 1e-10,
     maxiter: int = 500,
     chained: bool = False,
-    tiling=None,
 ) -> CGResult:
     """Solve ``A x = b`` by conjugate gradients, ``x`` as initial guess.
 
@@ -146,14 +145,10 @@ def cg(
         Absolute convergence threshold on ``||r||_2``.
     chained:
         Trace each CG iteration as a deferred loop chain (memoized in
-        the runtime's chain cache); ``tiling`` additionally lowers the
-        chain through the sparse-tiling inspector.  Results are bitwise
-        identical in every mode.
+        the runtime's chain cache).  Results are bitwise identical
+        either way.
     """
     rt = runtime if runtime is not None else default_runtime()
-    if tiling is not None and not chained:
-        raise ValueError("tiling requires chained=True (there is no chain "
-                         "to tile under eager dispatch)")
     set_ = b.set
     n = set_.size
     kernels = make_cg_kernels()
@@ -163,7 +158,7 @@ def cg(
 
     def traced(body):
         if chained:
-            with rt.chain(tiling=tiling):
+            with rt.chain():
                 return body()
         return body()
 

@@ -1,14 +1,14 @@
 """The unified persistent artifact store (``$REPRO_CACHE_DIR``).
 
-Seven cache kinds, one disk layer: execution plans, compiled loop
-chains, tiled schedules, generated vector-kernel sources, native
-``.so`` binaries and the auto-tuner's decisions all persist through
+One disk layer for the five persistent cache kinds: execution plans,
+compiled loop chains, generated vector-kernel sources, native ``.so``
+binaries and the auto-tuner's decisions all persist through
 :class:`~repro.store.base.ArtifactStore` — content-addressed keys
 (:mod:`repro.store.keys`), versioned pickled documents, atomic
 ``os.replace`` publishes, corrupt/stale entries counted-and-unlinked
 (never raised), mtime-LRU bounded per kind.  A second process running
 an identical workload replays everything warm: zero plan construction,
-zero tiling inspection, zero kernel emission, zero native compiles —
+zero chain compilation, zero kernel emission, zero native compiles —
 the cross-process extension of the paper's "inspect once, execute many
 times" amortization argument, and the substrate the ROADMAP's
 session-server item builds on.
@@ -41,11 +41,9 @@ from .codecs import (
     decode_chain,
     decode_kernelc,
     decode_plan,
-    decode_tiled,
     encode_chain,
     encode_kernelc,
     encode_plan,
-    encode_tiled,
 )
 from .keys import (
     chain_key,
@@ -55,7 +53,6 @@ from .keys import (
     map_key,
     plan_key,
     set_token,
-    tiled_key,
 )
 
 __all__ = [
@@ -64,8 +61,8 @@ __all__ = [
     "count_build", "counters", "lru_sweep", "max_entries_for",
     "reset_store_stats", "store_disabled", "store_for", "store_stats",
     "unlink_quiet",
-    "decode_chain", "decode_kernelc", "decode_plan", "decode_tiled",
-    "encode_chain", "encode_kernelc", "encode_plan", "encode_tiled",
+    "decode_chain", "decode_kernelc", "decode_plan",
+    "encode_chain", "encode_kernelc", "encode_plan",
     "chain_key", "digest", "kernel_key", "kernelc_key", "map_key",
-    "plan_key", "set_token", "tiled_key",
+    "plan_key", "set_token",
 ]

@@ -14,8 +14,8 @@ scan every time).
 Two storage flavours share that machinery:
 
 * **document stores** (:class:`ArtifactStore`) hold one pickled,
-  schema-versioned document per key — plans, chain programs, tiled
-  schedules, generated kernel sources, tuning decisions;
+  schema-versioned document per key — plans, chain programs,
+  generated kernel sources, tuning decisions;
 * **raw files** (:meth:`ArtifactStore.publish_file` /
   :meth:`ArtifactStore.raw_path`) hold artifacts that must remain plain
   files on disk — the native compile cache's ``.so``/``.c`` pairs, which
@@ -45,11 +45,10 @@ from typing import Dict, List, Optional
 #: being misread.
 SCHEMA_VERSIONS: Dict[str, int] = {
     "plan": 1,
-    "chain": 1,
-    "tiled": 1,
+    "chain": 2,
     "kernelc": 1,
     "native": 1,
-    "tune": 1,
+    "tune": 2,
 }
 
 #: Default per-kind mtime-LRU bound (entries, not bytes: artifacts are
@@ -90,7 +89,7 @@ def store_disabled(kind: str) -> bool:
     """Whether persistence is off for ``kind``.
 
     ``REPRO_STORE_DISABLE=1`` (or ``all``) disables every kind;
-    a comma-separated list (``REPRO_STORE_DISABLE=plan,tiled``)
+    a comma-separated list (``REPRO_STORE_DISABLE=plan,kernelc``)
     disables only the named kinds.  Disabled kinds compute everything
     in-process exactly as before the store existed — no disk traffic.
     """
@@ -117,9 +116,9 @@ def bump(kind: str, name: str, n: int = 1) -> None:
 
 def count_build(kind: str) -> None:
     """Record one expensive construction actually performed (a plan
-    built, a chain compiled, a tiling inspection run, a kernel source
-    emitted).  The warm-start acceptance pins these at zero for a
-    second process replaying an identical workload."""
+    built, a chain compiled, a kernel source emitted).  The warm-start
+    acceptance pins these at zero for a second process replaying an
+    identical workload."""
     bump(kind, "builds")
 
 

@@ -4,8 +4,8 @@ Each codec pair turns one artifact into a dict of arrays/ints/strings
 (no live ``Set``/``Map``/``Dat``/``Kernel`` references, no memoized
 caches) and back.  Decoding **rebinds to live storage** the way native
 ``.so`` replay does: the document carries only what was expensive to
-compute — colorings, permutations, fusion decisions, tile cuts,
-generated source — and the decoder grafts it onto the session's live
+compute — colorings, permutations, fusion decisions, generated
+source — and the decoder grafts it onto the session's live
 objects, leaving every lazily-built structure (phase lists, gather
 indices, executor programs) to rebuild on demand exactly as a
 freshly-constructed artifact would.
@@ -26,12 +26,6 @@ import numpy as np
 
 from ..coloring import BlockLayout, BlockPermutation, Permutation
 from ..core.plan import Plan
-from ..tiling.schedule import (
-    BarrierLoop,
-    LoopSlices,
-    TiledSchedule,
-    TiledSegment,
-)
 
 
 def _arr(a) -> np.ndarray:
@@ -131,73 +125,15 @@ def decode_plan(payload: dict, set_) -> Plan:
 
 
 # ----------------------------------------------------------------------
-# Tiled schedule
-# ----------------------------------------------------------------------
-def encode_tiled(sched: TiledSchedule) -> dict:
-    parts: List[dict] = []
-    for part in sched.parts:
-        if isinstance(part, TiledSegment):
-            parts.append({
-                "kind": "segment",
-                "loop_indices": list(part.loop_indices),
-                "n_tiles": int(part.n_tiles),
-                "slices": [(sl.order, sl.cuts) for sl in part.slices],
-                "tile_colors": part.tile_colors,
-                "n_tile_colors": int(part.n_tile_colors),
-            })
-        else:
-            parts.append({
-                "kind": "barrier",
-                "loop_index": int(part.loop_index),
-                "reason": part.reason,
-            })
-    return {
-        "parts": parts,
-        "tile_size": int(sched.tile_size),
-        "profile": sched.profile,
-    }
-
-
-def decode_tiled(payload: dict) -> TiledSchedule:
-    parts: List = []
-    for doc in payload["parts"]:
-        if doc["kind"] == "segment":
-            parts.append(TiledSegment(
-                loop_indices=tuple(int(k) for k in doc["loop_indices"]),
-                n_tiles=int(doc["n_tiles"]),
-                slices=tuple(
-                    LoopSlices(order=_arr(order), cuts=_arr(cuts))
-                    for order, cuts in doc["slices"]
-                ),
-                tile_colors=_arr(doc["tile_colors"]),
-                n_tile_colors=int(doc["n_tile_colors"]),
-            ))
-        elif doc["kind"] == "barrier":
-            parts.append(BarrierLoop(
-                loop_index=int(doc["loop_index"]), reason=str(doc["reason"])
-            ))
-        else:
-            raise ValueError(f"unknown schedule part kind {doc['kind']!r}")
-    return TiledSchedule(
-        parts=tuple(parts),
-        tile_size=int(payload["tile_size"]),
-        profile=str(payload["profile"]),
-    )
-
-
-# ----------------------------------------------------------------------
 # Compiled chain
 # ----------------------------------------------------------------------
 def encode_chain(compiled) -> dict:
     """Persist a compiled chain's *decisions*, not its bound objects.
 
     The expensive outputs of :func:`repro.core.chain.compile_chain` are
-    the validation pass, the dependency analysis, the fusion partition
-    and the resolved tile size; the bound loops themselves are rebuilt
-    from the live trace on decode (plans come from the plan store).
-    The canonical tiled schedule is persisted separately under the
-    ``tiled`` kind so the ascending-profile schedule and future
-    profiles share one storage path.
+    the validation pass, the dependency analysis and the fusion
+    partition; the bound loops themselves are rebuilt from the live
+    trace on decode (plans come from the plan store).
     """
     offsets = []
     pos = 0
@@ -211,8 +147,6 @@ def encode_chain(compiled) -> dict:
             "levels": list(compiled.analysis.levels),
             "frontiers": [list(f) for f in compiled.analysis.frontiers],
         },
-        "tiling": compiled.tiling,
-        "tile_size": int(compiled.tile_size),
         "n_loops": compiled.n_loops,
     }
 
@@ -222,8 +156,7 @@ def decode_chain(payload: dict, specs, plans):
 
     Skips validation, dependency analysis and fusion — the persisted
     decisions are functions of the structural trace the key guarantees
-    identical.  The caller attaches the tiled schedule (from the tiled
-    store, or by re-inspection on a miss).
+    identical.
     """
     from ..core.chain import BoundLoop, ChainAnalysis, CompiledChain, FusedGroup
 
@@ -256,13 +189,7 @@ def decode_chain(payload: dict, specs, plans):
         levels=tuple(int(v) for v in an["levels"]),
         frontiers=tuple(tuple(int(i) for i in f) for f in an["frontiers"]),
     )
-    return CompiledChain(
-        groups=tuple(groups),
-        analysis=analysis,
-        tiling=payload["tiling"],
-        tile_size=int(payload["tile_size"]),
-        tiled=None,
-    )
+    return CompiledChain(groups=tuple(groups), analysis=analysis)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ keys that two *different processes* agree on, so every key here is a
 content digest of the structure an artifact depends on:
 
 * a :class:`~repro.core.map.Map` keys by its **values** (plus arity and
-  endpoint extents) — plans and tilings are functions of connectivity,
+  endpoint extents) — plans are functions of connectivity,
   not of which ``Map`` object carries it;
 * a :class:`~repro.core.kernel.Kernel` keys by its **scalar source**
   (generated kernels are a function of the source text; kernels whose
@@ -113,7 +113,6 @@ def plan_key(
 
 def chain_key(
     specs: Sequence,
-    tiling,
     block_size: int,
     scheme: str,
     coloring_method: str,
@@ -127,8 +126,7 @@ def chain_key(
     ``[start, n)`` range — and the aliasing pattern via first-occurrence
     ordinals, which is what fusion legality and dependency edges are
     functions of.  Runtime knobs that flow into plan resolution
-    (block size, scheme, coloring method) and the tiling request
-    complete the key.
+    (block size, scheme, coloring method) complete the key.
 
     A spec carrying an explicit plan override is unkeyable: the
     override's content is not derivable from the trace.
@@ -138,8 +136,7 @@ def chain_key(
     def ordinal(kind: str, uid: int) -> int:
         return ordinals.setdefault((kind, uid), len(ordinals))
 
-    tokens: list = ["chain", int(block_size), scheme, coloring_method,
-                    "tiling", tiling]
+    tokens: list = ["chain", int(block_size), scheme, coloring_method]
     for spec in specs:
         if spec.plan is not None:
             return None
@@ -178,11 +175,6 @@ def chain_key(
     return digest(*tokens)
 
 
-def tiled_key(chain_store_key: str, tile_size: int, profile: str) -> str:
-    """Key of one tiled schedule: the chain it slices + size + profile."""
-    return digest("tiled", chain_store_key, int(tile_size), profile)
-
-
 def kernelc_key(kernel, shapes) -> Optional[str]:
     """Key of one generated vector kernel source, or ``None``.
 
@@ -203,5 +195,5 @@ def kernelc_key(kernel, shapes) -> Optional[str]:
 
 __all__ = [
     "IDX_ALL", "digest", "map_key", "kernel_key", "set_token",
-    "plan_key", "chain_key", "tiled_key", "kernelc_key",
+    "plan_key", "chain_key", "kernelc_key",
 ]

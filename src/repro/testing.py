@@ -62,3 +62,15 @@ def runtime_for(name: str, scheme: str, options: dict, block_size: int = 64,
         scheme=scheme,
         layout=layout,
     )
+
+
+def assert_replayed_from_store(kinds=("plan", "chain")) -> None:
+    """Assert a warm restart: since the last
+    :func:`repro.store.reset_store_stats`, every kind in ``kinds`` was
+    served from the persistent store and nothing of that kind was built."""
+    from repro import store
+
+    for kind in kinds:
+        stats = store.store_stats(kind)
+        assert stats["builds"] == 0, (kind, stats)
+        assert stats["disk_hits"] > 0, (kind, stats)

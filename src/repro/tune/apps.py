@@ -14,7 +14,7 @@ When a driver is constructed over a runtime created as
    mesh* with explicit (non-auto) runtimes, so probing can never
    recurse and never touches the caller's state;
 3. applies the decision: backend and layout onto the runtime,
-   chained/tiling onto the sim — reallocating the sim's freshly
+   chained onto the sim — reallocating the sim's freshly
    initialized state if the chosen layout differs.
 
 Explicitly passed knobs are pins, never suggestions: a sim constructed
@@ -56,8 +56,6 @@ def _sim_pins(sim, runtime) -> Pins:
         layout=runtime.layout if runtime.layout_explicit else None,
         chained=(sim.chained if getattr(sim, "chained_explicit", False)
                  else None),
-        tiling=sim.tiling,
-        tiling_pinned=sim.tiling is not None,
         operator=(sim.operator_mode
                   if getattr(sim, "operator_explicit", False) else None),
     )
@@ -106,7 +104,7 @@ def _probe_runner(sim, app: str, block_size: int):
             kw["operator"] = candidate.operator
         trial = type(sim)(
             sim.mesh, dtype=sim.dtype, runtime=rt,
-            chained=candidate.chained, tiling=candidate.tiling, **kw,
+            chained=candidate.chained, **kw,
         )
         trial.step()  # warm-up: plans, chains, compiled kernels
         t0 = time.perf_counter()
@@ -133,7 +131,6 @@ def apply_decision(sim, runtime, decision: TuneDecision) -> None:
     """Install a decision on the runtime and sim (state realloc included)."""
     runtime.apply_decision(decision)
     sim.chained = bool(decision.chained)
-    sim.tiling = decision.tiling if decision.chained else None
     if decision.operator is not None and hasattr(sim, "operator_mode"):
         sim.operator_mode = decision.operator
     if (

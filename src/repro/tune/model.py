@@ -22,15 +22,12 @@ class TuneCandidate:
     backend: str = "vectorized"
     layout: str = "aos"
     chained: bool = True
-    tiling: object = None  # None | "auto" | int
     #: Operator realization for apps that offer one ("assembled" |
     #: "matfree"); ``None`` for workloads without the axis.
     operator: Optional[str] = None
 
     def label(self) -> str:
-        mode = "eager"
-        if self.chained:
-            mode = "chained" if self.tiling is None else f"tiled({self.tiling})"
+        mode = "chained" if self.chained else "eager"
         base = f"{self.backend}/{self.layout}/{mode}"
         return base if self.operator is None else f"{base}/{self.operator}"
 
@@ -41,8 +38,6 @@ class Pins:
 
     layout: Optional[str] = None
     chained: Optional[bool] = None
-    tiling: object = None
-    tiling_pinned: bool = False
     operator: Optional[str] = None
 
 
@@ -90,7 +85,7 @@ def default_candidates(
     """The negotiated space, filtered by the caller's explicit pins.
 
     Kept deliberately small (probes are wall-clock): the vectorized
-    backend across layout x {chained, tiled, eager}, plus the native
+    backend across layout x {chained, eager}, plus the native
     chain JIT when a C compiler is available.  ``operators`` crosses
     the grid with an app-provided operator axis (e.g. aero's
     ``("assembled", "matfree")``), respecting an operator pin.
@@ -100,35 +95,21 @@ def default_candidates(
 
         compiler_ok = compiler_available()
     cands = [
-        TuneCandidate("vectorized", "aos", True, None),
-        TuneCandidate("vectorized", "soa", True, None),
-        TuneCandidate("vectorized", "aos", True, "auto"),
-        TuneCandidate("vectorized", "aos", False, None),
-        TuneCandidate("vectorized", "soa", False, None),
+        TuneCandidate("vectorized", "aos", True),
+        TuneCandidate("vectorized", "soa", True),
+        TuneCandidate("vectorized", "aos", False),
+        TuneCandidate("vectorized", "soa", False),
     ]
     if compiler_ok:
         cands += [
-            TuneCandidate("native", "aos", True, None),
-            TuneCandidate("native", "soa", True, None),
+            TuneCandidate("native", "aos", True),
+            TuneCandidate("native", "soa", True),
         ]
     if pins is not None:
         if pins.layout is not None:
             cands = [c for c in cands if c.layout == pins.layout]
         if pins.chained is not None:
             cands = [c for c in cands if c.chained == pins.chained]
-        if pins.tiling_pinned:
-            cands = [c for c in cands if c.tiling == pins.tiling]
-            if not cands and pins.tiling is not None:
-                # A pinned concrete tile size is not in the default
-                # grid: synthesize matching candidates.
-                cands = [
-                    TuneCandidate("vectorized",
-                                  pins.layout or "aos", True, pins.tiling)
-                ]
-                if compiler_ok and pins.layout is None:
-                    cands.append(
-                        TuneCandidate("native", "aos", True, pins.tiling)
-                    )
     if operators:
         ops = list(operators)
         if pins is not None and pins.operator is not None:
@@ -196,10 +177,6 @@ def predict_candidate(
         eff = max(float(eff_table.get(info.get("kind", "direct"), 0.3)),
                   1e-3)
         mem = float(info.get("bytes", 0.0)) / (peak_gbs * 1e9 * eff)
-        if candidate.tiling is not None:
-            # Cross-loop tile locality pays off on multi-loop chains,
-            # costs schedule overhead on short ones.
-            mem *= 0.9 if nloops >= 3 else 1.05
         if candidate.layout == "soa" and mem_style != "scalar":
             mem *= 0.98 if info.get("kind") == "direct" else 1.0
         comp = float(info.get("flops", 0.0)) / (peak_gflops * 1e9)

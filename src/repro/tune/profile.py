@@ -35,7 +35,7 @@ class RuntimeProfile:
     def __init__(self) -> None:
         #: kernel name -> {"kind", "bytes_per_element", "n"}
         self.loops: Dict[str, Dict[str, object]] = {}
-        #: joined kernel names -> {"flushes", "seconds", "loops", "tiled"}
+        #: joined kernel names -> {"flushes", "seconds", "loops"}
         self.chains: Dict[str, Dict[str, object]] = {}
 
     # ------------------------------------------------------------------
@@ -81,17 +81,15 @@ class RuntimeProfile:
         }
 
     def record_chain(
-        self, kernel_names: Tuple[str, ...], seconds: float, tiled: bool
+        self, kernel_names: Tuple[str, ...], seconds: float
     ) -> None:
         """Accumulate one chain flush (called from ``LoopChain.flush``)."""
         key = "+".join(kernel_names)
         entry = self.chains.setdefault(
-            key, {"flushes": 0, "seconds": 0.0, "loops": len(kernel_names),
-                  "tiled": bool(tiled)}
+            key, {"flushes": 0, "seconds": 0.0, "loops": len(kernel_names)}
         )
         entry["flushes"] = int(entry["flushes"]) + 1
         entry["seconds"] = float(entry["seconds"]) + float(seconds)
-        entry["tiled"] = bool(tiled)
 
     # ------------------------------------------------------------------
     def loop_infos(self) -> list:

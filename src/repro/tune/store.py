@@ -1,4 +1,4 @@
-"""On-disk tuning DB: the 7th runtime cache kind.
+"""On-disk tuning DB: the 6th runtime cache kind.
 
 Built on the unified artifact store's file machinery
 (:mod:`repro.store.base`): decisions live under
@@ -28,9 +28,10 @@ from typing import Dict, List, Optional
 from ..store import base as store_base
 from .signature import machine_fingerprint
 
-#: Bump when the persisted decision format changes; older entries are
-#: treated as stale (tolerated, dropped, re-probed).
-SCHEMA_VERSION = 1
+#: Bump (in :data:`repro.store.base.SCHEMA_VERSIONS`) when the persisted
+#: decision format changes; older entries are treated as stale
+#: (tolerated, dropped, re-probed).
+SCHEMA_VERSION = store_base.SCHEMA_VERSIONS["tune"]
 
 #: Default LRU bound on persisted decisions per machine fingerprint.
 DEFAULT_MAX_ENTRIES = 256
@@ -60,7 +61,7 @@ def tuning_disabled() -> bool:
 
 
 def tune_cache_stats() -> Dict[str, Optional[int]]:
-    """Counters for the tuning DB (7th runtime cache kind).
+    """Counters for the tuning DB (6th runtime cache kind).
 
     Same canonical surface as the LRU caches (``hits`` / ``misses`` /
     ``evictions`` / ``entries`` / ``max_entries``) plus the DB-specific

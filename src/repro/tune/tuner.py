@@ -1,7 +1,7 @@
 """Probe → decide → persist: the measured configuration negotiator.
 
 Given a traced chain signature, :class:`Tuner` answers "which
-``(backend, layout, tile size, chained-vs-eager)`` should this workload
+``(backend, layout, chained-vs-eager)`` should this workload
 run under on this machine?":
 
 1. **replay** — if the tuning DB already holds a decision for the
@@ -42,7 +42,6 @@ class TuneDecision:
     backend: str
     layout: str
     chained: bool
-    tiling: object
     #: Operator realization for apps with the axis ("assembled" |
     #: "matfree"); ``None`` for workloads without one (and for
     #: decisions persisted before the axis existed).
@@ -63,7 +62,6 @@ class TuneDecision:
             backend=str(doc.get("backend", "vectorized")),
             layout=str(doc.get("layout", "aos")),
             chained=bool(doc.get("chained", True)),
-            tiling=doc.get("tiling"),
             operator=doc.get("operator"),
             source=source,
             probed=int(doc.get("probed", 0)),
@@ -72,19 +70,16 @@ class TuneDecision:
 
     def candidate(self) -> TuneCandidate:
         return TuneCandidate(self.backend, self.layout, self.chained,
-                             self.tiling, self.operator)
+                             self.operator)
 
 
 def _default_decision(pins: Optional[Pins], source: str) -> TuneDecision:
     """The untuned configuration (current driver defaults), pin-aware."""
     pins = pins or Pins()
-    chained = True if pins.chained is None else pins.chained
-    tiling = pins.tiling if pins.tiling_pinned else None
     return TuneDecision(
         backend="vectorized",
         layout=pins.layout or "aos",
-        chained=chained,
-        tiling=tiling if chained else None,
+        chained=True if pins.chained is None else pins.chained,
         operator=pins.operator,
         source=source,
     )
@@ -144,8 +139,8 @@ class Tuner:
         if probe is None:
             best = ranked[0]
             return TuneDecision(
-                best.backend, best.layout, best.chained, best.tiling,
-                best.operator, source="model",
+                best.backend, best.layout, best.chained, best.operator,
+                source="model",
             )
         measured: List[tuple] = []
         for cand in ranked[: max(1, self.top_k)]:
@@ -158,9 +153,8 @@ class Tuner:
             return _default_decision(pins, "fallback")
         best_s, best = min(measured, key=lambda t: t[0])
         decision = TuneDecision(
-            best.backend, best.layout, best.chained, best.tiling,
-            best.operator, source="probe", probed=len(measured),
-            probe_s=best_s,
+            best.backend, best.layout, best.chained, best.operator,
+            source="probe", probed=len(measured), probe_s=best_s,
         )
         if doc is None:
             # First negotiation for this workload wins the slot; later
@@ -177,8 +171,6 @@ def _respects_pins(decision: TuneDecision, pins: Optional[Pins]) -> bool:
         return False
     if pins.chained is not None and decision.chained != pins.chained:
         return False
-    if pins.tiling_pinned and decision.tiling != pins.tiling:
-        return False
     if pins.operator is not None and decision.operator != pins.operator:
         return False
     return True
@@ -187,13 +179,10 @@ def _respects_pins(decision: TuneDecision, pins: Optional[Pins]) -> bool:
 def _apply_pins(decision: TuneDecision, pins: Optional[Pins]) -> TuneDecision:
     """The stored decision with only the pinned axes overridden."""
     pins = pins or Pins()
-    chained = decision.chained if pins.chained is None else pins.chained
-    tiling = pins.tiling if pins.tiling_pinned else decision.tiling
     return TuneDecision(
         backend=decision.backend,
         layout=decision.layout if pins.layout is None else pins.layout,
-        chained=chained,
-        tiling=tiling if chained else None,
+        chained=decision.chained if pins.chained is None else pins.chained,
         operator=(decision.operator if pins.operator is None
                   else pins.operator),
         source="db",

@@ -13,6 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro import store
 from repro.mesh import make_airfoil_mesh, make_tri_mesh
 from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
 
@@ -40,3 +41,13 @@ def tri_mesh_small():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def fresh_store(tmp_path, monkeypatch):
+    """An isolated, enabled artifact store with zeroed counters."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    monkeypatch.delenv("REPRO_STORE_DISABLE", raising=False)
+    store.reset_store_stats()
+    yield tmp_path / "store"
+    store.reset_store_stats()

@@ -2,8 +2,9 @@
 
 The aero acceptance property: the assembled CSR values and the final
 potential are **bitwise identical** between the sequential backend and
-every other backend, over both data layouts and all three execution
-modes ({eager, chained, tiled}).  On top of that, classical FEM checks:
+every other backend, over both data layouts and every execution
+mode ({eager, chained, restored}; ``restored`` replays plans and chains
+from the persistent artifact store).  On top of that, classical FEM checks:
 the unit-square bilinear stiffness block, the patch test (linear fields
 reproduced exactly), incompressible limits, and Picard convergence.
 """
@@ -11,12 +12,17 @@ reproduced exactly), incompressible limits, and Picard convergence.
 import numpy as np
 import pytest
 
+from repro import store
 from repro.apps.aero import AeroConstants, AeroSim, make_kernels
 from repro.core import INC, Dat, Map, Mat, Runtime, Set, arg_mat, par_loop
 from repro.core.access import IDX_ALL, IDX_ID, READ, arg_dat
 from repro.mesh import make_airfoil_mesh
 from repro.solve import MatOperator, cg
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX
+from repro.testing import (
+    BACKEND_MATRIX,
+    LAYOUT_MATRIX,
+    assert_replayed_from_store,
+)
 
 MESH_DIMS = (12, 6)
 PICARD = 2
@@ -24,7 +30,7 @@ CG_KW = dict(cg_tol=1e-10, cg_maxiter=200)
 
 
 def run_aero(backend="sequential", scheme="two_level", options=None,
-             layout=None, chained=False, tiling=None, picard=PICARD,
+             layout=None, chained=False, picard=PICARD,
              constants=None):
     from repro.testing import runtime_for
 
@@ -33,7 +39,7 @@ def run_aero(backend="sequential", scheme="two_level", options=None,
     if constants is not None:
         kwargs["constants"] = constants
     sim = AeroSim(make_airfoil_mesh(*MESH_DIMS), runtime=rt,
-                  chained=chained, tiling=tiling, **kwargs)
+                  chained=chained, **kwargs)
     result = sim.solve(picard=picard)
     return sim, result
 
@@ -69,6 +75,17 @@ class TestConvergence:
         assert 0.9 < rho.min() <= rho.max() < 1.1
         assert np.all(np.isfinite(phi))
 
+    def test_default_cg_budget_converges_first_step(self):
+        """The default ``cg_maxiter`` (one iteration per unknown) lets
+        the first Picard step converge at 96x48, which needs ~300 CG
+        iterations."""
+        sim = AeroSim(make_airfoil_mesh(96, 48))
+        assert sim.cg_maxiter == sim.mesh.nodes.size
+        sim.step()
+        first = sim.cg_results[0]
+        assert first.converged
+        assert first.residual <= sim.cg_tol
+
     def test_incompressible_limit_rho_is_one(self):
         sim, _ = run_aero(
             picard=1, constants=AeroConstants(mach=0.0), chained=False
@@ -81,24 +98,26 @@ class TestReproducibilityMatrix:
 
     @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
     @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
-    @pytest.mark.parametrize("mode", ["eager", "chained", "tiled"])
+    @pytest.mark.parametrize("mode", ["eager", "chained", "restored"])
     def test_bitwise_identical(self, backend, scheme, options, layout,
-                               mode, reference):
+                               mode, reference, request):
         ref_phi, ref_csr, ref_rho, _ = reference
+        if mode == "restored":
+            # A cold chained run fills an empty store; the measured run
+            # is a fresh runtime replaying its plans and chains.
+            request.getfixturevalue("fresh_store")
+            run_aero(backend, scheme, options, layout=layout, chained=True)
+            store.reset_store_stats()
         sim, result = run_aero(
             backend, scheme, options, layout=layout,
             chained=(mode != "eager"),
-            tiling="auto" if mode == "tiled" else None,
         )
+        if mode == "restored":
+            assert_replayed_from_store()
         assert result.converged
         np.testing.assert_array_equal(sim.state.mat.data, ref_csr)
         np.testing.assert_array_equal(sim.phi, ref_phi)
         np.testing.assert_array_equal(sim.rho, ref_rho)
-
-    def test_tiling_requires_chained(self):
-        with pytest.raises(ValueError, match="chained=True"):
-            AeroSim(make_airfoil_mesh(*MESH_DIMS), chained=False,
-                    tiling="auto")
 
 
 class TestFEMCorrectness:

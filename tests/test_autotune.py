@@ -165,8 +165,7 @@ class TestOperatorAxis:
         assert all(c.operator == "matfree" for c in cands)
 
     def test_decision_roundtrips_operator(self):
-        d = TuneDecision("native", "soa", True, None,
-                         operator="matfree")
+        d = TuneDecision("native", "soa", True, operator="matfree")
         d2 = TuneDecision.from_dict(d.to_dict())
         assert d2.operator == "matfree"
         assert d2.candidate().operator == "matfree"
@@ -186,17 +185,17 @@ class TestOperatorAxis:
              "bytes": 1e8, "operator": "matfree"},
         ]
         asm = predict_candidate(
-            TuneCandidate("vectorized", "aos", True, None,
+            TuneCandidate("vectorized", "aos", True,
                           operator="assembled"), infos)
         mf = predict_candidate(
-            TuneCandidate("vectorized", "aos", True, None,
+            TuneCandidate("vectorized", "aos", True,
                           operator="matfree"), infos)
         # The assembled candidate pays for the 5 GB scatter loop the
         # matfree candidate never executes.
         assert asm > mf
 
     def test_flops_bound_loops_price_compute_time(self):
-        cand = TuneCandidate("vectorized", "aos", True, None)
+        cand = TuneCandidate("vectorized", "aos", True)
         cheap = predict_candidate(
             cand, [{"name": "l", "n": 1000, "kind": "direct",
                     "bytes": 1e6, "flops": 0.0}])
@@ -269,8 +268,8 @@ class TestPerfmodelLink:
         infos = [{"name": "g", "n": 50_000, "kind": "gather",
                   "bytes": 5e9}]
         cands = [
-            TuneCandidate("vectorized", "aos", True, None),
-            TuneCandidate("autovec", "aos", True, None),
+            TuneCandidate("vectorized", "aos", True),
+            TuneCandidate("autovec", "aos", True),
         ]
         vec_wins = ArchCalibration(
             mem_eff_scalar={"gather": 0.4},

@@ -2,11 +2,12 @@
 
 The central contract: chained execution is **bitwise identical** to
 eager execution — swept over the full backend × scheme matrix and both
-data layouts for the Airfoil 5-loop time step, plus Volna.  Around it,
-unit tests pin the dependency analysis (RAW/WAR/WAW, commuting
-reductions), fusion legality (including the rejections), the read/write
-barriers on Dat and Global, the third-level chain cache, and the LRU
-bounds on all cache levels.
+data layouts for the Airfoil 5-loop time step, plus Volna, both for a
+fresh compile and for a warm restart that replays plans and chains from
+the persistent artifact store.  Around it, unit tests pin the dependency
+analysis (RAW/WAR/WAW, commuting reductions), fusion legality (including
+the rejections), the read/write barriers on Dat and Global, the
+third-level chain cache, and the LRU bounds on all cache levels.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import store
 from repro.core import (
     INC,
     MAX,
@@ -36,7 +38,12 @@ from repro.core import (
     pair_fusable,
     par_loop,
 )
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX,
+    LAYOUT_MATRIX,
+    assert_replayed_from_store,
+    runtime_for,
+)
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +137,60 @@ class TestChainEagerEquivalence:
         assert np.array_equal(eager.state.q.data, chained.state.q.data)
         assert np.array_equal(eager.state.rhs.data, chained.state.rhs.data)
         assert eager.dt_history == chained.dt_history
+
+    @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_airfoil_restored_chain_bitwise(self, name, scheme, options,
+                                            layout, fresh_store):
+        """A fresh runtime replaying plans and chains from the store
+        (a warm restart) matches eager bitwise."""
+        from repro.apps.airfoil import AirfoilSim
+        from repro.mesh import make_airfoil_mesh
+
+        def run(chained):
+            sim = AirfoilSim(
+                make_airfoil_mesh(12, 6),
+                runtime=runtime_for(name, scheme, options, layout=layout),
+                chained=chained,
+            )
+            sim.run(3)
+            return sim
+
+        eager = run(False)
+        run(True)
+        store.reset_store_stats()
+        restored = run(True)
+        assert_replayed_from_store()
+        for field in ("p_q", "p_qold", "p_adt", "p_res"):
+            a = getattr(eager.state, field).data
+            b = getattr(restored.state, field).data
+            assert np.array_equal(a, b), f"{field} diverged on {name}/{scheme}/{layout}"
+        assert eager.rms_history == restored.rms_history
+
+    @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
+    @pytest.mark.parametrize("name,scheme,options", BACKEND_MATRIX)
+    def test_volna_restored_chain_bitwise(self, name, scheme, options,
+                                          layout, fresh_store):
+        from repro.apps.volna import VolnaSim
+        from repro.mesh import make_tri_mesh
+
+        def run(chained):
+            sim = VolnaSim(
+                make_tri_mesh(10, 8), dtype=np.float64,
+                runtime=runtime_for(name, scheme, options, layout=layout),
+                chained=chained,
+            )
+            sim.run(3)
+            return sim
+
+        eager = run(False)
+        run(True)
+        store.reset_store_stats()
+        restored = run(True)
+        assert_replayed_from_store()
+        assert np.array_equal(eager.state.q.data, restored.state.q.data)
+        assert np.array_equal(eager.state.rhs.data, restored.state.rhs.data)
+        assert eager.dt_history == restored.dt_history
 
     def test_chunked_vectorized_falls_back_identically(self):
         """vec=8 (chunked mode) cannot batch; replay must still match."""

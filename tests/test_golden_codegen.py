@@ -200,7 +200,7 @@ class TestNativeGolden:
 
     Emission is pure (no compiler needed), so these run everywhere and
     pin the full native surface: pointer-table layout, per-loop bodies,
-    reduction plumbing and the fused/tiled entry points.  A chain's
+    reduction plumbing and the fused and per-loop entry points.  A chain's
     on-disk cache key is the sha256 of exactly this text, so any diff
     here is also a cache-key change.
     """

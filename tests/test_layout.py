@@ -353,10 +353,9 @@ class TestCacheCoherence:
 
         sim = AirfoilSim(make_airfoil_mesh(16, 8), runtime=rt)
         sim.step()
-        assert rt.cache_stats()["plans"] > 0
+        assert rt.stats()["plan_cache"]["entries"] > 0
         rt.clear_caches()
-        stats = rt.cache_stats()
-        assert stats == {
-            "loop_hits": 0, "loop_misses": 0,
-            "plan_hits": 0, "plan_misses": 0, "plans": 0,
-        }
+        stats = rt.stats()
+        loop, plan = stats["loop_cache"], stats["plan_cache"]
+        assert (loop["hits"], loop["misses"]) == (0, 0)
+        assert (plan["hits"], plan["misses"], plan["entries"]) == (0, 0, 0)

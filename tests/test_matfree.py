@@ -13,6 +13,7 @@ stiffness inputs, and the knob/guard behaviour.
 import numpy as np
 import pytest
 
+from repro import store
 from repro.apps.aero import AeroSim, make_kernels
 from repro.apps.aero.driver import OPERATOR_MODES
 from repro.apps.aero.kernels import element_quadrature_tables
@@ -20,7 +21,12 @@ from repro.core import INC, Dat, Mat, Runtime, arg_mat, par_loop
 from repro.core.access import IDX_ALL, IDX_ID, READ, arg_dat
 from repro.mesh import make_airfoil_mesh
 from repro.solve import MAX_FOLD_CONTRIBUTIONS, MatFreeOperator, MatOperator
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX,
+    LAYOUT_MATRIX,
+    assert_replayed_from_store,
+    runtime_for,
+)
 
 MESH_DIMS = (12, 6)
 PICARD = 2
@@ -28,11 +34,10 @@ CG_KW = dict(cg_tol=1e-10, cg_maxiter=200)
 
 
 def run_aero(operator, backend="sequential", scheme="two_level",
-             options=None, layout=None, chained=False, tiling=None,
-             picard=PICARD):
+             options=None, layout=None, chained=False, picard=PICARD):
     rt = runtime_for(backend, scheme, options or {}, layout=layout)
     sim = AeroSim(make_airfoil_mesh(*MESH_DIMS), runtime=rt,
-                  chained=chained, tiling=tiling, operator=operator,
+                  chained=chained, operator=operator,
                   **CG_KW)
     result = sim.solve(picard=picard)
     return sim, result
@@ -121,15 +126,21 @@ class TestPicardMatrix:
 
     @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
     @pytest.mark.parametrize("layout", LAYOUT_MATRIX)
-    @pytest.mark.parametrize("mode", ["eager", "chained", "tiled"])
+    @pytest.mark.parametrize("mode", ["eager", "chained", "restored"])
     def test_bitwise_identical(self, backend, scheme, options, layout,
-                               mode, reference):
+                               mode, reference, request):
         ref_phi, ref_rho, _ = reference
+        if mode == "restored":
+            request.getfixturevalue("fresh_store")
+            run_aero("matfree", backend, scheme, options, layout=layout,
+                     chained=True)
+            store.reset_store_stats()
         sim, result = run_aero(
             "matfree", backend, scheme, options, layout=layout,
             chained=(mode != "eager"),
-            tiling="auto" if mode == "tiled" else None,
         )
+        if mode == "restored":
+            assert_replayed_from_store()
         assert result.converged
         np.testing.assert_array_equal(sim.phi, ref_phi)
         np.testing.assert_array_equal(sim.rho, ref_rho)

@@ -47,13 +47,13 @@ def nb_mixed(a32, b):
     b[0] += a32[0] + 1.0
 
 
-def _run_chained(backend_name, layout=None, tiling=None):
+def _run_chained(backend_name, layout=None):
     rt = Runtime(make_backend(backend_name), layout=layout)
     s1 = Set(24, "nbset")
     rng = np.random.default_rng(7)
     a = Dat(s1, 2, rng.standard_normal((24, 2)), name="nba")
     b = Dat(s1, 2, np.zeros((24, 2)), name="nbb")
-    with rt.chain(tiling=tiling):
+    with rt.chain():
         par_loop(nb_scale, s1,
                  arg_dat(a, IDX_ID, None, READ),
                  arg_dat(b, IDX_ID, None, INC), runtime=rt)
@@ -66,12 +66,10 @@ class TestCompilerUnavailable:
         reset_native_cache()
         ref, _ = _run_chained("sequential")
         for layout in ("aos", "soa"):
-            for tiling in (None, 8):
-                got, rt = _run_chained("native", layout=layout,
-                                       tiling=tiling)
-                assert np.array_equal(ref, got), (layout, tiling)
-                s = rt.stats()["native_cache"]
-                assert s["compiles"] == 0 and s["failures"] == 0
+            got, rt = _run_chained("native", layout=layout)
+            assert np.array_equal(ref, got), layout
+            s = rt.stats()["native_cache"]
+            assert s["compiles"] == 0 and s["failures"] == 0
 
     def test_disable_env_forces_unavailable(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE_CC", "1")

@@ -1,7 +1,7 @@
 """Runtime.stats() cache counters under eviction pressure.
 
-The runtime exposes seven cache kinds (loop -> plan -> chain [fused and
-tiled entries] -> kernelc -> native -> tune); long-running processes
+The runtime exposes six cache kinds (loop -> plan -> chain -> kernelc
+-> native -> tune); long-running processes
 rely on the LRU bounds actually holding and on the hit/miss/eviction
 counters telling the truth.  These tests squeeze each cache below its
 working set and pin both; the native compile cache (process-global,
@@ -12,12 +12,14 @@ TestStatsSurface.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import (
     INC,
     READ,
     WRITE,
     Dat,
+    LoopSpec,
     Map,
     Runtime,
     Set,
@@ -109,26 +111,32 @@ class TestPlanCacheEviction:
 
 
 class TestChainCacheEviction:
-    def _trace(self, rt, dats, tiling=None):
+    def _trace(self, rt, dats):
         a, b = dats
-        with rt.chain(tiling=tiling):
+        with rt.chain():
             par_loop(stats_copy, a.set,
                      arg_dat(a, IDX_ID, None, READ),
                      arg_dat(b, IDX_ID, None, WRITE), runtime=rt)
 
-    def test_fused_and_tiled_are_distinct_entries(self):
+    def test_tiling_argument_rejected(self):
+        """The second parameter of ``compiled_chain_for`` only accepts
+        ``None``; anything else raises before touching the cache."""
         rt = Runtime("vectorized", chain_cache_entries=4)
-        s1 = Set(16, "c1")
-        dats = (Dat(s1, 1, 1.0), Dat(s1, 1))
-        self._trace(rt, dats)
-        self._trace(rt, dats, tiling=8)
+        s1 = Set(8, "ctile")
+        a, b = Dat(s1, 1, 1.0), Dat(s1, 1)
+        spec = LoopSpec(
+            kernel=stats_copy, set=s1,
+            args=(arg_dat(a, IDX_ID, None, READ),
+                  arg_dat(b, IDX_ID, None, WRITE)),
+            n=s1.total_size, start=0,
+        )
+        with pytest.raises(ValueError, match="tiling must be None"):
+            rt.compiled_chain_for([spec], "auto")
         st = rt.stats()["chain_cache"]
-        assert st["misses"] == 2       # same trace, two lowerings
-        assert st["entries"] == 2
-        self._trace(rt, dats)
-        self._trace(rt, dats, tiling=8)
-        st = rt.stats()["chain_cache"]
-        assert st["hits"] == 2
+        assert st["misses"] == 0 and st["entries"] == 0
+        assert rt.compiled_chain_for([spec], None) is \
+            rt.compiled_chain_for([spec])
+        assert rt.stats()["chain_cache"]["hits"] == 1
 
     def test_bound_held_under_distinct_traces(self):
         rt = Runtime("vectorized", chain_cache_entries=2)
@@ -143,16 +151,6 @@ class TestChainCacheEviction:
         # The evicted first trace recompiles.
         self._trace(rt, all_dats[0])
         assert rt.stats()["chain_cache"]["misses"] == 5
-
-    def test_tiled_entries_respect_the_same_bound(self):
-        rt = Runtime("vectorized", chain_cache_entries=2)
-        s1 = Set(32, "ct")
-        dats = (Dat(s1, 1, 1.0), Dat(s1, 1))
-        for tiling in (None, 8, 16):
-            self._trace(rt, dats, tiling=tiling)
-        st = rt.stats()["chain_cache"]
-        assert st["entries"] <= 2
-        assert st["evictions"] == 1
 
 
 class TestKernelcCacheEviction:
@@ -205,23 +203,22 @@ class TestStatsSurface:
     STORE = {"disk_hits", "disk_misses", "writes", "corrupt", "evictions",
              "builds", "disk_entries", "max_entries"}
 
-    def test_all_seven_cache_kinds_reported(self):
+    def test_all_six_cache_kinds_reported(self):
         rt = Runtime("vectorized", chain_cache_entries=4)
         s1 = Set(8, "surf")
         a, b = Dat(s1, 1, 1.0), Dat(s1, 1)
-        with rt.chain(tiling=4):
+        with rt.chain():
             par_loop(stats_copy, s1,
                      arg_dat(a, IDX_ID, None, READ),
                      arg_dat(b, IDX_ID, None, WRITE), runtime=rt)
         stats = rt.stats()
         for kind in ("loop_cache", "plan_cache", "chain_cache",
-                     "tiled_cache", "kernelc_cache", "native_cache",
-                     "tune_cache"):
+                     "kernelc_cache", "native_cache", "tune_cache"):
             assert self.CANONICAL <= set(stats[kind]), kind
-        # The six persistent kinds all report the uniform disk-layer
+        # The five persistent kinds all report the uniform disk-layer
         # counters of repro.store; the loop cache (call-site identity,
         # unpersistable) is the only kind without one.
-        for kind in ("plan_cache", "chain_cache", "tiled_cache",
+        for kind in ("plan_cache", "chain_cache",
                      "kernelc_cache", "native_cache", "tune_cache"):
             assert set(stats[kind]["store"]) == self.STORE, kind
         assert "store" not in stats["loop_cache"]
@@ -235,8 +232,6 @@ class TestStatsSurface:
         assert set(stats["tune_cache"]) == self.CANONICAL | {
             "writes", "corrupt", "probes", "probe_fallbacks", "store",
         }
-        # The tiled lowering is a chain-cache entry kind: its key
-        # includes the tiling request, so fused and tiled coexist.
         assert stats["chain_cache"]["entries"] >= 1
         assert "stats_copy" in stats["kernels"]
 

@@ -3,13 +3,16 @@
 ``repro.solve`` expresses SpMV and the CG vector updates as parallel
 loops; these tests pin (a) that it actually solves linear systems,
 (b) that the iterate sequence is bitwise identical across backends,
-layouts and {eager, chained, tiled} modes (the determinism contract of
-the module docstring), and (c) that it accepts matrix-free operators.
+layouts and {eager, chained, restored} modes (the determinism contract of
+the module docstring; ``restored`` replays plans and chains from the
+persistent artifact store), and (c) that it accepts matrix-free
+operators.
 """
 
 import numpy as np
 import pytest
 
+from repro import store
 from repro.core import (
     INC,
     Dat,
@@ -22,7 +25,12 @@ from repro.core import (
     par_loop,
 )
 from repro.solve import CGResult, MatOperator, cg, make_spmv_kernel
-from repro.testing import BACKEND_MATRIX, LAYOUT_MATRIX, runtime_for
+from repro.testing import (
+    BACKEND_MATRIX,
+    LAYOUT_MATRIX,
+    assert_replayed_from_store,
+    runtime_for,
+)
 
 
 @kernel("ring_stiffness")
@@ -103,23 +111,15 @@ class TestCGSolves:
         with pytest.raises(ValueError, match="positive definite"):
             cg(MatOperator(mat), b, x, runtime=Runtime("sequential"))
 
-    def test_tiling_requires_chained(self):
-        nodes, mat, bvals = ring_system()
-        b = Dat(nodes, 1, bvals, name="b")
-        x = Dat(nodes, 1, name="x")
-        with pytest.raises(ValueError, match="chained"):
-            cg(MatOperator(mat), b, x, tiling="auto", chained=False)
-
 
 class TestCGDeterminism:
-    def _solve(self, backend, scheme, options, layout=None, chained=False,
-               tiling=None):
+    def _solve(self, backend, scheme, options, layout=None, chained=False):
         nodes, mat, bvals = ring_system()
         rt = runtime_for(backend, scheme, options, layout=layout)
         b = Dat(nodes, 1, bvals, name="b")
         x = Dat(nodes, 1, name="x")
         res = cg(MatOperator(mat), b, x, runtime=rt, tol=1e-12,
-                 maxiter=500, chained=chained, tiling=tiling)
+                 maxiter=500, chained=chained)
         return x.data[: nodes.size, 0].copy(), res
 
     @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
@@ -131,13 +131,16 @@ class TestCGDeterminism:
         np.testing.assert_array_equal(got, ref)
         assert res.history == ref_res.history
 
-    @pytest.mark.parametrize("mode", ["chained", "tiled"])
-    def test_bitwise_across_modes(self, mode):
+    @pytest.mark.parametrize("mode", ["chained", "restored"])
+    def test_bitwise_across_modes(self, mode, request):
         ref, ref_res = self._solve("vectorized", "two_level", {})
-        got, res = self._solve(
-            "vectorized", "two_level", {}, chained=True,
-            tiling="auto" if mode == "tiled" else None,
-        )
+        if mode == "restored":
+            request.getfixturevalue("fresh_store")
+            self._solve("vectorized", "two_level", {}, chained=True)
+            store.reset_store_stats()
+        got, res = self._solve("vectorized", "two_level", {}, chained=True)
+        if mode == "restored":
+            assert_replayed_from_store()
         np.testing.assert_array_equal(got, ref)
         assert res.history == ref_res.history
 

@@ -2,17 +2,17 @@
 
 Four layers of assurance:
 
-1. **codec round-trips** (hypothesis): plans, tiled schedules and chain
-   programs survive encode → pickle → decode bit-for-bit, over
-   randomized meshes, block sizes and tilings;
+1. **codec round-trips** (hypothesis): plans and chain programs
+   survive encode → pickle → decode bit-for-bit, over randomized
+   meshes and block sizes;
 2. **store discipline**: schema-version bumps invalidate (counted, not
    raised), corrupt and truncated files degrade to recomputation,
    per-kind disable keeps the disk untouched;
 3. **concurrency**: many processes hammering one key leave exactly one
    valid document (atomic ``os.replace`` publish);
 4. **cross-process warm start**: a second process replaying an
-   identical workload performs zero plan construction, zero tiling
-   inspection, zero kernel emission (``builds == 0`` per kind) — the
+   identical workload performs zero plan construction, zero chain
+   compilation, zero kernel emission (``builds == 0`` per kind) — the
    acceptance the CI warm-start job enforces on the real apps.
 """
 
@@ -69,15 +69,6 @@ def ring(n, tag=""):
     edges = Set(n, f"edges{tag}")
     conn = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
     return nodes, edges, Map(edges, nodes, 2, conn, f"e2n{tag}")
-
-
-@pytest.fixture
-def fresh_store(tmp_path, monkeypatch):
-    """An isolated store root with zeroed counters."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    store.reset_store_stats()
-    yield tmp_path / "store"
-    store.reset_store_stats()
 
 
 def trace_specs(rng_seed, n):
@@ -153,43 +144,6 @@ class TestPlanCodec:
         assert back.n_block_colors == plan.n_block_colors
 
 
-class TestTiledCodec:
-    @settings(**SETTINGS)
-    @given(
-        n=st.integers(min_value=4, max_value=48),
-        tile_size=st.sampled_from([4, 8, 32]),
-        profile=st.sampled_from(["phases", "ascending"]),
-    )
-    def test_roundtrip(self, n, tile_size, profile):
-        rt = Runtime("vectorized", block_size=16)
-        specs = trace_specs(f"tc{n}{tile_size}{profile}", n)
-        compiled = compile_chain(specs, rt, tiling=tile_size)
-        sched = compiled.tiled_for(profile)
-        doc = pickle.loads(pickle.dumps(store.encode_tiled(sched)))
-        back = store.decode_tiled(doc)
-        assert back.tile_size == sched.tile_size
-        assert back.profile == sched.profile
-        assert len(back.parts) == len(sched.parts)
-        for p, q in zip(back.parts, sched.parts):
-            assert type(p) is type(q)
-            if hasattr(q, "loop_indices"):
-                assert p.loop_indices == q.loop_indices
-                assert p.n_tiles == q.n_tiles
-                np.testing.assert_array_equal(p.tile_colors, q.tile_colors)
-                for ps, qs in zip(p.slices, q.slices):
-                    np.testing.assert_array_equal(ps.order, qs.order)
-                    np.testing.assert_array_equal(ps.cuts, qs.cuts)
-            else:
-                assert p.loop_index == q.loop_index
-
-    def test_rejects_unknown_part_kind(self):
-        with pytest.raises(ValueError, match="unknown schedule part"):
-            store.decode_tiled(
-                {"parts": [{"kind": "nonsense"}], "tile_size": 4,
-                 "profile": "phases"}
-            )
-
-
 class TestChainCodec:
     @settings(**SETTINGS)
     @given(n=st.integers(min_value=4, max_value=48))
@@ -206,8 +160,6 @@ class TestChainCodec:
             assert len(g.loops) == len(h.loops)
             assert g.n == h.n and g.start == h.start
         assert back.analysis == compiled.analysis
-        assert back.tiling == compiled.tiling
-        assert back.tile_size == compiled.tile_size
 
     def test_rejects_wrong_trace_length(self):
         rt = Runtime("vectorized", block_size=16)
@@ -266,19 +218,42 @@ class TestStoreDiscipline:
         assert store.counters("plan")["corrupt"] == 1
         assert fresh.entry_count() == 0
 
+    def test_version_one_chain_document_is_rebuilt(self, fresh_store):
+        """A chain persisted under schema 1, which still carried the
+        removed ``tiling``/``tile_size`` fields, is stale: counted as
+        corrupt, unlinked and recompiled into a current document."""
+        specs = trace_specs("cv1", 12)
+        Runtime("vectorized", block_size=16).compiled_chain_for(specs)
+        s = store.store_for("chain")
+        (key,) = s.entries()
+        path = s.path_for(key)
+        doc = pickle.loads(path.read_bytes())
+        assert doc["schema"] > 1
+        doc["schema"] = 1
+        doc["payload"] = dict(doc["payload"], tiling="auto", tile_size=8)
+        path.write_bytes(pickle.dumps(doc))
+        store.reset_store_stats()
+        compiled = Runtime("vectorized", block_size=16).compiled_chain_for(specs)
+        c = store.counters("chain")
+        assert c["corrupt"] == 1 and c["builds"] == 1 and c["writes"] == 1
+        assert not hasattr(compiled, "tiling")
+        fresh = pickle.loads(path.read_bytes())
+        assert fresh["schema"] == store.SCHEMA_VERSIONS["chain"]
+        assert "tiling" not in fresh["payload"]
+
     def test_corrupt_and_truncated_tolerated(self, fresh_store):
-        s = store.store_for("tiled")
+        s = store.store_for("kernelc")
         s.put("b" * 64, {"x": 1})
         path = s.path_for("b" * 64)
         path.write_bytes(b"\x80\x04 garbage not a pickle")
         assert s.get("b" * 64) is None
-        assert store.counters("tiled")["corrupt"] == 1
+        assert store.counters("kernelc")["corrupt"] == 1
         s.put("c" * 64, {"y": 2})
         s.path_for("c" * 64).write_bytes(
             s.path_for("c" * 64).read_bytes()[:10]
         )
         assert s.get("c" * 64) is None
-        assert store.counters("tiled")["corrupt"] == 2
+        assert store.counters("kernelc")["corrupt"] == 2
 
     def test_wrong_kind_or_key_rejected(self, fresh_store):
         a = store.store_for("plan")
@@ -294,9 +269,9 @@ class TestStoreDiscipline:
         assert store.counters("plan")["corrupt"] == 1
 
     def test_per_kind_disable(self, fresh_store, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DISABLE", "plan,tiled")
+        monkeypatch.setenv("REPRO_STORE_DISABLE", "plan,kernelc")
         assert store.store_disabled("plan")
-        assert store.store_disabled("tiled")
+        assert store.store_disabled("kernelc")
         assert not store.store_disabled("chain")
         s = store.store_for("plan")
         assert not s.put("g" * 64, {"x": 1})
@@ -381,7 +356,7 @@ w = Dat(edges, 1, 1.0, name="w")
 s = Dat(edges, 1, name="s")
 r = Dat(nodes, 1, name="r")
 for step in range(3):
-    with rt.chain(tiling=8):
+    with rt.chain():
         par_loop(Kernel("warm_scale", scale), edges,
                  arg_dat(w, IDX_ID, None, READ),
                  arg_dat(s, IDX_ID, None, WRITE), runtime=rt)
@@ -392,7 +367,7 @@ for step in range(3):
 print(json.dumps({
     "result": float(r.data.sum()),
     "stats": {k: store.store_stats(k)
-              for k in ("plan", "chain", "tiled", "kernelc")},
+              for k in ("plan", "chain", "kernelc")},
 }))
 """
 
@@ -419,7 +394,7 @@ class TestWarmStart:
         cold = self._run(cache)
         warm = self._run(cache)
         assert warm["result"] == cold["result"]
-        for kind in ("plan", "chain", "tiled", "kernelc"):
+        for kind in ("plan", "chain", "kernelc"):
             assert cold["stats"][kind]["builds"] > 0, kind
             assert warm["stats"][kind]["builds"] == 0, kind
             assert warm["stats"][kind]["disk_hits"] > 0, kind
@@ -435,8 +410,8 @@ class TestWarmStart:
         assert warm["result"] == cold["result"]
         total_corrupt = sum(
             warm["stats"][k]["corrupt"]
-            for k in ("plan", "chain", "tiled", "kernelc")
+            for k in ("plan", "chain", "kernelc")
         )
         assert total_corrupt > 0
-        for kind in ("plan", "chain", "tiled", "kernelc"):
+        for kind in ("plan", "chain", "kernelc"):
             assert warm["stats"][kind]["builds"] > 0, kind

@@ -1,6 +1,6 @@
 """The on-disk tuning DB: round-trips, tolerance, cross-process reuse.
 
-The tuning store is the 7th runtime cache kind and follows the native
+The tuning store is the 6th runtime cache kind and follows the native
 compile cache's contract: atomic publishes, corrupt/stale files are
 counted and dropped (never raised), a bounded LRU per machine
 fingerprint, and decisions persisted by one process replayed by the
@@ -29,7 +29,6 @@ decisions = st.fixed_dictionaries({
     "backend": st.sampled_from(["vectorized", "native", "sequential"]),
     "layout": st.sampled_from(["aos", "soa"]),
     "chained": st.booleans(),
-    "tiling": st.sampled_from([None, "auto", 512, 4096]),
     "probed": st.integers(min_value=0, max_value=7),
     "probe_s": st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1.0,
                                               allow_nan=False)),
@@ -106,6 +105,49 @@ class TestCorruptTolerance:
         assert store.load("dead") is None
         assert tune_cache_stats()["corrupt"] == 1
         assert not store._path("dead").exists()
+
+    def test_version_one_tiled_decision_is_reprobed(self, tmp_path,
+                                                    monkeypatch):
+        """A decision persisted under schema 1, which still carried the
+        removed ``tiling`` axis, is stale: counted as corrupt, dropped
+        and re-probed — never applied to the sim."""
+        from repro.apps.airfoil import AirfoilSim
+        from repro.core import Runtime
+        from repro.mesh import make_airfoil_mesh
+        from repro.tune.apps import sim_signature
+
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune"))
+        monkeypatch.delenv("REPRO_TUNE_DISABLE", raising=False)
+        reset_tune_cache()
+        assert SCHEMA_VERSION > 1
+        mesh = make_airfoil_mesh(12, 6)
+        plain = Runtime("vectorized")
+        key = sim_signature(AirfoilSim(mesh, runtime=plain), plain)
+        store = TuneStore()
+        store._path(key).parent.mkdir(parents=True, exist_ok=True)
+        # "sequential" is never a tuning candidate, so it can only show
+        # up in the outcome if the stale decision were applied.
+        store._path(key).write_text(json.dumps({
+            "version": 1, "key": key,
+            "decision": {"backend": "sequential", "layout": "soa",
+                         "chained": True, "tiling": "auto",
+                         "probed": 3, "probe_s": 1e-3},
+        }))
+        rt = Runtime("auto")
+        sim = AirfoilSim(mesh, runtime=rt)
+        stats = tune_cache_stats()
+        assert stats["corrupt"] == 1
+        assert stats["probes"] > 0
+        d = rt.tuned_decision
+        assert d.source == "probe"
+        assert d.backend != "sequential"
+        assert rt.backend.name != "sequential"
+        assert "tiling" not in d.to_dict()
+        assert not hasattr(sim, "tiling")
+        # The re-probed decision replaced the stale file.
+        doc = json.loads(store._path(key).read_text())
+        assert doc["version"] == SCHEMA_VERSION
+        assert "tiling" not in doc["decision"]
 
     def test_mismatched_key_is_dropped(self, tmp_path):
         store = TuneStore(root=tmp_path, fingerprint="fp")
@@ -210,7 +252,7 @@ class TestDecisionsPersistAcrossProcesses:
         assert warm["stats"]["probes"] == 0
         assert warm["stats"]["hits"] == 1
         assert warm["stats"]["writes"] == 0
-        for axis in ("backend", "layout", "chained", "tiling"):
+        for axis in ("backend", "layout", "chained"):
             assert warm["decision"][axis] == cold["decision"][axis]
         # Tuning never changes numerics: both processes agree bitwise.
         assert warm["q"] == cold["q"]
