@@ -38,7 +38,11 @@ from ...core import (
     dat_layout,
     par_loop,
 )
-from ...mesh import UnstructuredMesh, make_airfoil_mesh
+from ...mesh import (
+    UnstructuredMesh,
+    make_airfoil_mesh,
+    renumber_edges_by_cell,
+)
 from ...mpi import DistContext
 from .constants import AirfoilConstants, DEFAULT_CONSTANTS
 from .kernels import make_kernels
@@ -64,6 +68,10 @@ class AirfoilSim:
     ----------
     mesh:
         An airfoil-style mesh (defaults to a small generated O-mesh).
+        Its edge-like sets are renumbered for locality on intake
+        (:func:`~repro.mesh.renumber_edges_by_cell`): ``self.mesh`` is
+        the renumbered mesh every backend runs on, and cells and nodes
+        keep the caller's numbering.
     dtype:
         ``np.float64`` (paper DP) or ``np.float32`` (paper SP).
     runtime:
@@ -86,7 +94,9 @@ class AirfoilSim:
         constants: AirfoilConstants = DEFAULT_CONSTANTS,
         chained: Optional[bool] = None,
     ) -> None:
-        self.mesh = mesh if mesh is not None else make_airfoil_mesh(48, 24)
+        self.mesh = renumber_edges_by_cell(
+            mesh if mesh is not None else make_airfoil_mesh(48, 24)
+        )
         self.dtype = np.dtype(dtype)
         self.runtime = runtime
         self.constants = constants
@@ -274,7 +284,9 @@ class DistributedAirfoilSim:
 
         self.chained = bool(chained)
         self.serial = AirfoilSim(mesh, dtype=dtype, constants=constants)
-        m = mesh
+        # The serial sim's Dats live on its (renumbered) mesh, so the
+        # decomposition must be built from that mesh, not the caller's.
+        m = self.serial.mesh
         node_parts = partition_iteration_set(
             _invert_to_first(m.map("cell2node").values, m.nodes.size),
             cell_parts, rule="first",

@@ -29,7 +29,7 @@ from ...core import (
     dat_layout,
     par_loop,
 )
-from ...mesh import UnstructuredMesh, make_tri_mesh
+from ...mesh import UnstructuredMesh, make_tri_mesh, renumber_edges_by_cell
 from .bathymetry import DEFAULT_SCENARIO, CoastalScenario, initial_state
 from .kernels import CFL, GRAVITY, make_kernels
 
@@ -115,7 +115,9 @@ class VolnaSim:
         cfl: float = CFL,
         chained: Optional[bool] = None,
     ) -> None:
-        self.mesh = (
+        # Edges are renumbered for locality on intake; cells and nodes
+        # keep the caller's numbering (see renumber_edges_by_cell).
+        self.mesh = renumber_edges_by_cell(
             mesh
             if mesh is not None
             else make_tri_mesh(

@@ -5,7 +5,7 @@ paper's parallelization strategies.
 """
 
 from .autovec import AutoVecBackend
-from .base import Backend, LoopStats, gather_batch, scatter_batch
+from .base import Backend, IncTerms, LoopStats, gather_batch, scatter_batch
 from .native import NativeBackend
 from .openmp import OpenMPBackend
 from .sequential import SequentialBackend
@@ -15,6 +15,7 @@ from .vectorized import VectorizedBackend
 __all__ = [
     "AutoVecBackend",
     "Backend",
+    "IncTerms",
     "LoopStats",
     "NativeBackend",
     "OpenMPBackend",

@@ -186,6 +186,76 @@ def _fold_reductions(args: Sequence[Arg], reductions: Dict[int, np.ndarray]) -> 
         args[i].dat.combine(args[i].access, partial)
 
 
+class IncTerms:
+    """One batch's lane accumulator of a global INC reduction.
+
+    The generated vector kernel hands it every increment ``g[c] += v``
+    as ``g.add(c, v)`` instead of summing into per-lane partials.
+    :meth:`fold` then adds the recorded terms to the loop's accumulator
+    one at a time, element by element and in statement order within an
+    element: the order in which the scalar kernel applies them.  Like
+    every serialized increment, the reduction is thus a pure function of
+    the element sequence, and on a direct loop it is bitwise the
+    sequential backend's.
+    """
+
+    __slots__ = ("lanes", "dtype", "terms")
+
+    def __init__(self, lanes: int, dim: int, dtype) -> None:
+        self.lanes = lanes
+        self.dtype = np.dtype(dtype)
+        self.terms: List[List[np.ndarray]] = [[] for _ in range(dim)]
+
+    def add(self, c: int, value) -> None:
+        # Promote as the scalar ``acc[c] += value`` does (a Python number
+        # takes the accumulator's type).
+        dt = np.result_type(self.dtype, value)
+        self.terms[c].append(
+            np.broadcast_to(np.asarray(value, dtype=dt), (self.lanes,))
+        )
+
+    def fold(self, total: np.ndarray) -> None:
+        """Add the recorded terms to ``total`` in order and forget them."""
+        for c, terms in enumerate(self.terms):
+            if not terms:
+                continue
+            seq = np.stack(terms, axis=1).reshape(-1)  # element-major
+            terms.clear()
+            if seq.dtype == total.dtype:
+                # accumulate is a strict left-to-right running sum.
+                seq[0] += total[c]
+                total[c] = np.add.accumulate(seq, out=seq)[-1]
+            else:
+                # Wider terms: round to the accumulator after every add.
+                for t in seq:
+                    total[c] += t
+
+
+def new_lane_reduction(arg: Arg, lanes: int, vfn):
+    """Fresh lane accumulator of a reduction-global argument for the
+    vector form ``vfn``: :class:`IncTerms` for a global INC fed to a
+    generated form, else a ``(lanes, dim)`` array of per-lane partials
+    (a hand-written form increments ``g[:, c]`` itself)."""
+    dat = arg.dat
+    if arg.access is Access.INC and getattr(vfn, "__kernelc__", False):
+        return IncTerms(lanes, dat.dim, dat.dtype)
+    return np.full((lanes, dat.dim), dat.identity_for(arg.access),
+                   dtype=dat.dtype)
+
+
+def fold_lane_reduction(access: Access, partial, total: np.ndarray) -> None:
+    """Fold one batch's lane accumulator (see :func:`new_lane_reduction`)
+    into the loop's ``total``."""
+    if isinstance(partial, IncTerms):
+        partial.fold(total)
+    elif access is Access.INC:
+        total += partial.sum(axis=0)
+    elif access is Access.MIN:
+        np.minimum(total, partial.min(axis=0), out=total)
+    else:
+        np.maximum(total, partial.max(axis=0), out=total)
+
+
 # ----------------------------------------------------------------------
 # Scalar per-element argument views.
 # ----------------------------------------------------------------------
@@ -260,6 +330,7 @@ def gather_batch(
     args: Sequence[Arg],
     elems: np.ndarray,
     phase=None,
+    vfn=None,
 ) -> BatchArgs:
     """Gather a chunk of elements into batched ``(chunk, ...)`` arrays.
 
@@ -276,7 +347,9 @@ def gather_batch(
     indirection index arrays come from the phase's per-(map, slot) cache
     instead of being fancy-indexed out of the maps anew — the whole-color
     fast path's steady-state invariant is that *no* index array is
-    rebuilt after the first time step.
+    rebuilt after the first time step.  ``vfn`` is the vector form the
+    batch feeds; it picks the reduction accumulators
+    (:func:`new_lane_reduction`).
     """
     batch = BatchArgs()
     nl = elems.size
@@ -286,12 +359,7 @@ def gather_batch(
     for i, arg in enumerate(args):
         if arg.is_global:
             if arg.access.is_reduction:
-                acc = np.zeros((nl, arg.dat.dim), dtype=arg.dat.dtype)
-                if arg.access is Access.MIN:
-                    acc[...] = arg.dat.identity_for(arg.access)
-                elif arg.access is Access.MAX:
-                    acc[...] = arg.dat.identity_for(arg.access)
-                batch.arrays.append(acc)
+                batch.arrays.append(new_lane_reduction(arg, nl, vfn))
                 batch.reduction_slots.append(i)
             else:
                 batch.arrays.append(arg.dat.data)
@@ -414,11 +482,4 @@ def scatter_batch(
             arg.dat.scatter(idx, local)
 
     for i in batch.reduction_slots:
-        arg = args[i]
-        partial = batch.arrays[i]
-        if arg.access is Access.INC:
-            reductions[i] += partial.sum(axis=0)
-        elif arg.access is Access.MIN:
-            np.minimum(reductions[i], partial.min(axis=0), out=reductions[i])
-        elif arg.access is Access.MAX:
-            np.maximum(reductions[i], partial.max(axis=0), out=reductions[i])
+        fold_lane_reduction(args[i].access, batch.arrays[i], reductions[i])

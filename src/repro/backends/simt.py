@@ -24,7 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.access import Access
-from .base import Backend, gather_batch, run_scalar_element
+from .base import (
+    Backend,
+    fold_lane_reduction,
+    gather_batch,
+    run_scalar_element,
+)
 
 
 class SIMTBackend(Backend):
@@ -81,7 +86,7 @@ class SIMTBackend(Backend):
         self, vfn, args, lo, hi, elem_colors, ncolors, reductions
     ) -> None:
         elems = np.arange(lo, hi)
-        batch = gather_batch(args, elems)
+        batch = gather_batch(args, elems, vfn=vfn)
         vfn(*batch.arrays)
         self._colored_scatter(args, batch, elems, elem_colors, ncolors, reductions)
 
@@ -151,11 +156,4 @@ class SIMTBackend(Backend):
             args[i].dat.data[idx] = batch.arrays[i]
 
         for i in batch.reduction_slots:
-            arg = args[i]
-            partial = batch.arrays[i]
-            if arg.access is Access.INC:
-                reductions[i] += partial.sum(axis=0)
-            elif arg.access is Access.MIN:
-                np.minimum(reductions[i], partial.min(axis=0), out=reductions[i])
-            elif arg.access is Access.MAX:
-                np.maximum(reductions[i], partial.max(axis=0), out=reductions[i])
+            fold_lane_reduction(args[i].access, batch.arrays[i], reductions[i])

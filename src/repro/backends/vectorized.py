@@ -46,8 +46,10 @@ from .base import (
     LoopStats,
     _fold_reductions,
     _init_reductions,
+    fold_lane_reduction,
     gather_batch,
     interleave_inc_group,
+    new_lane_reduction,
     run_scalar_element,
     scatter_batch,
     serialized_inc_group_key,
@@ -102,13 +104,13 @@ class _PhaseExec:
             dat = arg.dat
             if arg.is_global:
                 if arg.access.is_reduction:
-                    acc = np.zeros((nl, dat.dim), dtype=dat.dtype)
-                    fill = (
-                        0 if arg.access is Access.INC
-                        else dat.identity_for(arg.access)
-                    )
+                    acc = new_lane_reduction(arg, nl, self.kernel_vec)
                     self.proto.append(acc)
-                    self.fills.append((acc, fill))
+                    if isinstance(acc, np.ndarray):
+                        # (IncTerms empties itself when folded.)
+                        self.fills.append(
+                            (acc, dat.identity_for(arg.access))
+                        )
                     self.folds.append((i, i, arg.access))
                 else:
                     self.proto.append(dat.data)  # stable value array
@@ -228,15 +230,7 @@ class _PhaseExec:
             else:
                 dat.scatter(idx, local)
         for slot, pos, mode in self.folds:
-            partial = arrays[pos]
-            if mode is Access.INC:
-                reductions[slot] += partial.sum(axis=0)
-            elif mode is Access.MIN:
-                np.minimum(reductions[slot], partial.min(axis=0),
-                           out=reductions[slot])
-            else:
-                np.maximum(reductions[slot], partial.max(axis=0),
-                           out=reductions[slot])
+            fold_lane_reduction(mode, arrays[pos], reductions[slot])
 
 
 class VectorizedBackend(Backend):
@@ -334,7 +328,7 @@ class VectorizedBackend(Backend):
         per color and zero index reconstruction.
         """
         for phase in plan.phases(n, start):
-            batch = gather_batch(args, phase.elems, phase=phase)
+            batch = gather_batch(args, phase.elems, phase=phase, vfn=vfn)
             vfn(*batch.arrays)
             scatter_batch(args, batch, reductions,
                           serialize_inc=phase.serialize)
@@ -461,7 +455,7 @@ class VectorizedBackend(Backend):
                 for e in chunk:
                     run_scalar_element(kernel.scalar, args, int(e), reductions)
                 continue
-            batch = gather_batch(args, chunk)
+            batch = gather_batch(args, chunk, vfn=vfn)
             vfn(*batch.arrays)
             scatter_batch(args, batch, reductions, serialize_inc=serialize)
 

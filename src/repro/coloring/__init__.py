@@ -11,7 +11,12 @@ from .block import (
     is_valid_block_coloring,
     make_blocks,
 )
-from .conflict import conflict_targets, is_valid_coloring, racing_slots
+from .conflict import (
+    conflict_targets,
+    is_valid_coloring,
+    racing_slots,
+    slot_targets,
+)
 from .greedy import color_elements, greedy_color, jp_color
 from .permute import (
     BlockPermutation,
@@ -37,4 +42,5 @@ __all__ = [
     "jp_color",
     "make_blocks",
     "racing_slots",
+    "slot_targets",
 ]

@@ -49,13 +49,18 @@ def conflict_targets(args: Sequence[Arg], n_elements: int):
     Returns
     -------
     targets:
-        ``(n_elements, n_slots)`` int64 array, or ``None`` when the loop
+        ``(n_elements, n_slots)`` integer array (int32 when the extent
+        fits, else int64), or ``None`` when the loop
         has no racing arguments (every element is independent — the
         "direct loop" case of the paper, e.g. ``save_soln``/``update``).
     extent:
         Size of the combined (offset) target index space.
     """
-    slots = racing_slots(args)
+    return slot_targets(racing_slots(args), n_elements)
+
+
+def slot_targets(slots: Sequence[Tuple[object, int]], n_elements: int):
+    """:func:`conflict_targets` from a loop's :func:`racing_slots`."""
     if not slots:
         return None, 0
 
@@ -70,12 +75,13 @@ def conflict_targets(args: Sequence[Arg], n_elements: int):
                 getattr(map_.to_set, "nonexec_size", 0)
             )
 
-    cols = []
-    for map_, idx in slots:
-        col = map_.values[:n_elements, idx].astype(np.int64, copy=True)
-        col += offsets[map_.to_set]
-        cols.append(col)
-    targets = np.stack(cols, axis=1)
+    # Filled column by column in the narrowest index type that holds the
+    # extent: plan building at paper scale peaks on this array.
+    dtype = np.int32 if extent <= np.iinfo(np.int32).max else np.int64
+    targets = np.empty((n_elements, len(slots)), dtype=dtype)
+    for j, (map_, idx) in enumerate(slots):
+        np.add(map_.values[:n_elements, idx], offsets[map_.to_set],
+               out=targets[:, j], casting="unsafe")
     return targets, extent
 
 

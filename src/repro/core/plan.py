@@ -56,10 +56,11 @@ from ..coloring import (
     Permutation,
     block_permute,
     color_blocks,
-    conflict_targets,
     element_colors_by_block,
     full_permute,
     make_blocks,
+    racing_slots,
+    slot_targets,
 )
 from .access import Arg, IDX_ALL
 from .set import Set
@@ -148,7 +149,9 @@ class Plan:
         backends).
     elem_colors / block_ncolors:
         Second-level coloring used by the ``two_level`` scheme to
-        serialize indirect increments within a block.
+        serialize indirect increments within a block.  Only the SIMT
+        backend reads it, so it is computed on first read (from
+        ``racing``), not at build; ``None`` under the permute schemes.
     permutation:
         Global color-sorted order (``full_permute`` scheme only).
     block_permutation:
@@ -156,6 +159,9 @@ class Plan:
     is_direct:
         True when the loop has no racing arguments at all; backends skip
         coloring machinery entirely.
+    racing / coloring_method:
+        The loop's racing ``(map, slot)`` columns and the coloring method,
+        kept to compute ``elem_colors`` when it is first read.
     """
 
     set: Set
@@ -165,11 +171,18 @@ class Plan:
     block_colors: np.ndarray
     n_block_colors: int
     blocks_by_color: List[np.ndarray]
-    elem_colors: Optional[np.ndarray] = None
-    block_ncolors: Optional[np.ndarray] = None
+    racing: Tuple[Tuple[object, int], ...] = ()
+    coloring_method: str = "auto"
     permutation: Optional[Permutation] = None
     block_permutation: Optional[BlockPermutation] = None
     build_stats: Dict[str, float] = field(default_factory=dict)
+    #: Second-level coloring once computed (see :attr:`elem_colors`).
+    _elem_colors: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False
+    )
+    _block_ncolors: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False
+    )
     #: Memoized whole-color phase lists, keyed by ``(n, start)``.
     _phase_cache: Dict[Tuple[int, int], List[Phase]] = field(
         default_factory=dict, repr=False
@@ -180,6 +193,39 @@ class Plan:
     @property
     def nblocks(self) -> int:
         return self.layout.nblocks
+
+    @property
+    def elem_colors(self) -> Optional[np.ndarray]:
+        """Per-element within-block colors (``two_level`` and direct)."""
+        self._color_elements()
+        return self._elem_colors
+
+    @property
+    def block_ncolors(self) -> Optional[np.ndarray]:
+        """Per-block count of within-block colors."""
+        self._color_elements()
+        return self._block_ncolors
+
+    def _color_elements(self) -> None:
+        """Compute the second-level coloring on first read."""
+        if self._elem_colors is not None:
+            return
+        n, nblocks = self.layout.n_elements, self.layout.nblocks
+        if self.is_direct:
+            self._elem_colors = np.zeros(n, dtype=np.int32)
+            self._block_ncolors = np.ones(nblocks, dtype=np.int32)
+        elif self.scheme == "two_level":
+            if not self.racing:
+                raise ValueError(
+                    "plan carries no racing columns to color elements from"
+                )
+            targets, extent = slot_targets(self.racing, n)
+            self._elem_colors, self._block_ncolors = element_colors_by_block(
+                self.layout, targets, extent, method=self.coloring_method
+            )
+            self.build_stats["max_elem_colors"] = float(
+                self._block_ncolors.max(initial=1)
+            )
 
     def max_elem_colors(self) -> int:
         if self.elem_colors is None:
@@ -309,7 +355,8 @@ def build_plan(
         raise ValueError(f"Unknown scheme {scheme!r}; expected one of {SCHEMES}")
     n = set_.total_size
     layout = make_blocks(n, block_size)
-    targets, extent = conflict_targets(args, n)
+    racing = tuple(racing_slots(args))
+    targets, extent = slot_targets(racing, n)
     is_direct = targets is None
 
     stats: Dict[str, float] = {}
@@ -332,21 +379,16 @@ def build_plan(
         block_colors=block_colors,
         n_block_colors=n_block_colors,
         blocks_by_color=blocks_by_color,
+        racing=racing,
+        coloring_method=coloring_method,
         build_stats=stats,
     )
 
-    if is_direct:
-        # Direct loops need no second level / permutation under any scheme.
-        plan.elem_colors = np.zeros(n, dtype=np.int32)
-        plan.block_ncolors = np.ones(layout.nblocks, dtype=np.int32)
+    # Direct loops need no second level / permutation under any scheme,
+    # and the two_level second level is colored on first read.
+    if is_direct or scheme == "two_level":
         return plan
-
-    if scheme == "two_level":
-        plan.elem_colors, plan.block_ncolors = element_colors_by_block(
-            layout, targets, extent, method=coloring_method
-        )
-        stats["max_elem_colors"] = float(plan.block_ncolors.max(initial=1))
-    elif scheme == "full_permute":
+    if scheme == "full_permute":
         plan.permutation = full_permute(targets, n, extent, method=coloring_method)
         stats["n_elem_colors"] = float(plan.permutation.ncolors)
     elif scheme == "block_permute":
@@ -432,7 +474,7 @@ class PlanCache:
         payload = pstore.get(skey)
         if payload is not None:
             try:
-                return store.decode_plan(payload, set_)
+                return store.decode_plan(payload, set_, args)
             except Exception:
                 store.bump("plan", "corrupt")
                 store.unlink_quiet(pstore.path_for(skey))

@@ -43,14 +43,16 @@ def batched_flags(args: Sequence[Arg]) -> Tuple[bool, ...]:
     )
 
 
-def param_shapes(args: Sequence[Arg]) -> Tuple[Tuple[bool, Optional[int]], ...]:
+def param_shapes(args: Sequence[Arg]) -> Tuple[tuple, ...]:
     """Per-parameter (batched, fuse_dim) signature for the emitter.
 
     ``fuse_dim`` is the trailing-axis extent a ``range(dim)`` loop over
     the parameter may be fused across: the Dat's ``dim`` for plain data
-    arguments and reduction globals, ``None`` for vector (``IDX_ALL``)
+    arguments and MIN/MAX globals, ``None`` for vector (``IDX_ALL``)
     arguments — whose single trailing index selects a map slot, not a
-    component — and for scalar-shaped READ globals.
+    component — and for scalar-shaped READ globals.  A global INC
+    argument is ``(True, None, True)``: its increments are recorded
+    term by term (see :class:`~repro.kernelc.vector.VectorEmitter`).
     """
     # Hot path: one call per eager par_loop dispatch, so classify with
     # direct attribute checks instead of the (lazily importing) Arg
@@ -61,6 +63,8 @@ def param_shapes(args: Sequence[Arg]) -> Tuple[Tuple[bool, Optional[int]], ...]:
         if isinstance(dat, Global):
             if arg.access is Access.READ:
                 shapes.append((False, None))
+            elif arg.access is Access.INC:
+                shapes.append((True, None, True))
             else:
                 shapes.append((True, int(dat.dim)))
         elif arg.index == IDX_ALL:

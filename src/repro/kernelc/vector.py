@@ -36,6 +36,10 @@ Lowering rules
   loop-carried locals, reductions into a fixed slot) are kept as
   (short, lane-free) Python loops preserving the scalar operation
   order exactly.
+* Increments of a global INC argument (``rms[0] += d * d``) become
+  ``rms.add(0, d * d)``: the backend records each lane's term and adds
+  the terms to the reduction one at a time, element by element and in
+  statement order, the order in which the scalar kernel applies them.
 
 Every statement is emitted through :func:`ast.unparse`, so operator
 precedence is always parenthesized correctly and the output is
@@ -120,14 +124,15 @@ def _unparse(node: ast.AST) -> str:
     return ast.unparse(ast.fix_missing_locations(node))
 
 
-def _normalize_shapes(shapes) -> List[Tuple[bool, Optional[int]]]:
-    """Accept plain batched flags or (batched, fuse_dim) pairs."""
+def _normalize_shapes(shapes) -> List[Tuple[bool, Optional[int], bool]]:
+    """Accept plain batched flags, (batched, fuse_dim) pairs or
+    (batched, fuse_dim, inc_terms) triples."""
     out = []
     for s in shapes:
         if isinstance(s, tuple):
-            out.append((bool(s[0]), s[1]))
+            out.append((bool(s[0]), s[1], len(s) > 2 and bool(s[2])))
         else:
-            out.append((bool(s), None))
+            out.append((bool(s), None, False))
     return out
 
 
@@ -138,7 +143,11 @@ class VectorEmitter:
     batched flag, or a ``(batched, fuse_dim)`` pair where ``fuse_dim``
     is the trailing-axis extent a dim-loop may be fused over (the Dat's
     ``dim`` for plain data arguments, ``None`` for vector arguments and
-    READ globals).
+    READ globals).  A third entry ``True`` marks a global INC argument:
+    the kernel may only increment it (``g[c] += v`` / ``-=``), and each
+    increment is lowered to ``g.add(c, v)``, which hands the lane values
+    to the backend's :class:`~repro.backends.base.IncTerms` recorder so
+    the reduction can be folded in the scalar kernel's order.
     """
 
     def __init__(self, ir: KernelIR, shapes) -> None:
@@ -155,13 +164,17 @@ class VectorEmitter:
         #: conservative — a lane-scalar local marked batched is harmless
         #: because valid scalar kernels never subscript scalars.
         self.batched = {
-            p for p, (flag, _) in zip(ir.params, shapes) if flag
+            p for p, (flag, _, _) in zip(ir.params, shapes) if flag
         }
         #: Parameter -> trailing-axis extent usable for dim-loop fusion.
         self.fuse_dim = {
             p: dim
-            for p, (flag, dim) in zip(ir.params, shapes)
+            for p, (flag, dim, _) in zip(ir.params, shapes)
             if flag and dim is not None
+        }
+        #: Global INC parameters, whose increments are recorded.
+        self.inc_terms = {
+            p for p, (_, _, inc) in zip(ir.params, shapes) if inc
         }
         #: Loop variables currently lowered to a full slice (fused loops).
         self._fuse_vars: set = set()
@@ -181,6 +194,11 @@ class VectorEmitter:
     def _rx(self, node: ast.expr, env: Dict[str, str]) -> Tuple[ast.expr, bool]:
         """Rewrite one expression; returns (new node, is lane-batched)."""
         if isinstance(node, ast.Name):
+            if node.id in self.inc_terms:
+                raise UnvectorizableKernel(
+                    f"{self.ir.name} reads its global INC argument "
+                    f"{node.id!r}"
+                )
             new = env.get(node.id, node.id)
             return _name(new), node.id in self.batched
         if isinstance(node, ast.Constant):
@@ -354,6 +372,10 @@ class VectorEmitter:
 
     def _store(self, target, value, op, env, mask) -> None:
         """Subscript store, plain or masked read-modify-write."""
+        if (isinstance(target.value, ast.Name)
+                and target.value.id in self.inc_terms):
+            self._record_inc(target, value, op, env, mask)
+            return
         new_target, _ = self._rx(_load(target), env)
         value_rx, _ = self._rx(value, env)
         tgt = _unparse(new_target)
@@ -372,6 +394,26 @@ class VectorEmitter:
             updated = ast.BinOp(left=_load(new_target), op=op, right=value_rx)
             merged = _call("_kc_select", [_name(mask), updated, new_target])
         self._emit(f"{tgt} = {_unparse(merged)}")
+
+    def _record_inc(self, target, value, op, env, mask) -> None:
+        """``g[c] += v`` on a global INC argument: ``g.add(c, v)``."""
+        if not isinstance(op, (ast.Add, ast.Sub)):
+            raise UnvectorizableKernel(
+                f"{self.ir.name} may only increment its global INC "
+                f"argument {target.value.id!r}"
+            )
+        term, _ = self._rx(value, env)
+        if isinstance(op, ast.Sub):
+            # ``a - b`` and ``a + (-b)`` round identically.
+            term = ast.UnaryOp(op=ast.USub(), operand=term)
+        if mask is not None:
+            # A masked-out lane adds +0.0, which leaves the accumulator
+            # bitwise unchanged: starting from +0.0 it never holds -0.0.
+            term = _call("_kc_select", [_name(mask), term, ast.Constant(0.0)])
+        index = self._rx_index(target.slice, env)
+        self._emit(
+            f"{target.value.id}.add({_unparse(index)}, {_unparse(term)})"
+        )
 
     def _stmt_for(self, s: SFor, env, mask) -> None:
         env[s.var] = s.var

@@ -7,8 +7,8 @@ from .renumber import (
     bandwidth,
     permute_set_numbering,
     rcm_renumber_cells,
+    renumber_edges_by_cell,
     scramble,
-    tile_local_renumber,
 )
 from .structures import UnstructuredMesh
 from .tri_mesh import make_tri_mesh
@@ -23,8 +23,8 @@ __all__ = [
     "make_tri_mesh",
     "permute_set_numbering",
     "rcm_renumber_cells",
+    "renumber_edges_by_cell",
     "save_mesh",
     "scramble",
-    "tile_local_renumber",
     "volna_paper_dims",
 ]

@@ -1,11 +1,14 @@
 """Mesh renumbering for cache locality.
 
 OP2 relies on a locality-friendly base numbering so that contiguous
-mini-partitions are geometrically compact (Section 3's blocks).  Our
-structured-as-unstructured generators already produce good numberings; a
-scrambled numbering models a *badly* ordered input mesh, and
-reverse-Cuthill-McKee restores locality — the pair is used by tests and
-the locality ablation bench.
+mini-partitions are geometrically compact (Section 3's blocks).  The
+generators do not guarantee one: ``make_airfoil_mesh`` numbers edges
+i-major while its cells are j-major, so consecutive edges touch cells a
+whole ring apart.  :func:`renumber_edges_by_cell` fixes the edge-like
+sets of any mesh without touching cells or nodes; the edge-loop apps
+apply it when they take a mesh.  A scrambled numbering models a *badly*
+ordered input mesh, and reverse-Cuthill-McKee restores cell locality —
+the pair is used by tests and the locality ablation bench.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..core.map import Map
+from ..core.set import Set
 from ..partition.graph import adjacency_from_map
 from .structures import UnstructuredMesh
 
@@ -27,7 +31,11 @@ def permute_set_numbering(
 
     Rebuilds every map touching the set (rows permuted for ``from`` sets,
     values relabelled for ``to`` sets), plus coordinates/meta arrays that
-    live on it.  Returns a new mesh; the input is untouched.
+    live on it.  Returns a new mesh; the input is untouched.  The
+    renumbered set is a fresh :class:`~repro.core.set.Set`, so a Dat or
+    Map built on the input's numbering fails the identity checks of
+    ``arg_dat`` / ``par_loop`` instead of pairing silently with the new
+    one; the other sets keep their objects.
     """
     sets = {
         "nodes": mesh.nodes,
@@ -39,12 +47,21 @@ def permute_set_numbering(
         raise KeyError(f"Unknown set {set_name!r}")
     target = sets[set_name]
     new_of_old = np.asarray(new_of_old, dtype=np.int64)
-    if new_of_old.size != target.size or set(new_of_old.tolist()) != set(
-        range(target.size)
-    ):
+    n = target.size
+    if new_of_old.shape != (n,) or (n > 0 and (
+        new_of_old.min() < 0
+        or new_of_old.max() >= n
+        or np.bincount(new_of_old, minlength=n).max() != 1
+    )):
         raise ValueError("new_of_old must be a permutation of the set")
     old_of_new = np.empty_like(new_of_old)
     old_of_new[new_of_old] = np.arange(target.size, dtype=np.int64)
+
+    fresh = Set(target.size, target.name, core_size=target.core_size,
+                exec_size=target.exec_size)
+
+    def swap(s: Set) -> Set:
+        return fresh if s is target else s
 
     new_maps: Dict[str, Map] = {}
     for name, m in mesh.maps.items():
@@ -53,7 +70,8 @@ def permute_set_numbering(
             values = values[old_of_new]
         if m.to_set is target:
             values = new_of_old[values]
-        new_maps[name] = Map(m.from_set, m.to_set, m.arity, values, m.name)
+        new_maps[name] = Map(swap(m.from_set), swap(m.to_set), m.arity,
+                             values, m.name)
 
     coords = mesh.coords
     if set_name == "nodes":
@@ -65,10 +83,10 @@ def permute_set_numbering(
             meta[key] = meta[key][old_of_new]
 
     out = UnstructuredMesh(
-        nodes=mesh.nodes,
-        cells=mesh.cells,
-        edges=mesh.edges,
-        bedges=mesh.bedges,
+        nodes=swap(mesh.nodes),
+        cells=swap(mesh.cells),
+        edges=swap(mesh.edges),
+        bedges=swap(mesh.bedges),
         maps=new_maps,
         coords=coords,
         meta=meta,
@@ -97,25 +115,20 @@ def rcm_renumber_cells(mesh: UnstructuredMesh) -> UnstructuredMesh:
     return permute_set_numbering(mesh, "cells", new_of_old)
 
 
-def tile_local_renumber(
-    mesh: UnstructuredMesh, tile_size: int
-) -> UnstructuredMesh:
-    """Renumber edge-like sets for cell-block edge locality.
+def renumber_edges_by_cell(mesh: UnstructuredMesh) -> UnstructuredMesh:
+    """Renumber ``edges`` / ``bedges`` for cell locality.
 
-    Cells are grouped into blocks of ``tile_size`` consecutive ids, and
-    ``edges`` / ``bedges`` are stably reordered by the block of their
-    highest-numbered adjacent cell.  Consecutive edges then touch a
-    narrow, ascending window of cells, so an edge loop's indirect cell
-    gathers and increments stay within a cache-sized range while its
-    direct per-edge Dats stream.  Cell numbering is unchanged.
+    Each edge-like set is stably sorted by the highest-numbered cell it
+    touches.  Consecutive edges then touch a narrow, ascending window of
+    cells, so an edge loop's indirect cell gathers and increments stay
+    within a cache-sized range while its direct per-edge Dats stream.
+    Cells and nodes keep their numbering.  A set already in this order
+    is left alone, and a mesh whose sets all are is returned as is.
 
-    Stability preserves the relative order of edges within a block, and
-    the transform is a pure mesh preprocessing — results on the
-    renumbered mesh are internally bitwise consistent across execution
-    modes (eager / chained), like any other renumbering.
+    Stability preserves the relative order of edges that share their
+    highest cell; results on the renumbered mesh are bitwise consistent
+    across backends and execution modes like on any other numbering.
     """
-    if tile_size < 1:
-        raise ValueError(f"tile_size must be >= 1, got {tile_size}")
     out = mesh
     for set_name, map_name in (("edges", "edge2cell"),
                                ("bedges", "bedge2cell")):
@@ -124,8 +137,10 @@ def tile_local_renumber(
         m = out.maps.get(map_name)
         if m is None or m.values.size == 0:
             continue
-        tiles = m.values.max(axis=1) // int(tile_size)
-        order = np.argsort(tiles, kind="stable")  # old ids in new order
+        key = m.values.max(axis=1)
+        if np.all(key[1:] >= key[:-1]):
+            continue
+        order = np.argsort(key, kind="stable")  # old ids in new order
         new_of_old = np.empty(order.size, dtype=np.int64)
         new_of_old[order] = np.arange(order.size, dtype=np.int64)
         out = permute_set_numbering(out, set_name, new_of_old)

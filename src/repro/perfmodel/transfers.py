@@ -152,10 +152,15 @@ def analyze_loop(
         if not maps_used:
             touched = n_elements  # direct: the iteration elements
         else:
-            cols = []
-            for m in maps_used:
-                cols.append(m.values[:n_elements].reshape(-1))
-            touched = np.unique(np.concatenate(cols)).size if n_elements else 0
+            # Mark targets in a boolean array rather than sorting the
+            # concatenated map rows (np.unique): milliseconds instead of
+            # seconds at 720K airfoil cells, and no copy of the rows.
+            rows = [m.values[:n_elements] for m in maps_used]
+            seen = np.zeros(max(int(r.max(initial=-1)) for r in rows) + 1,
+                            dtype=bool)
+            for r in rows:
+                seen[r] = True
+            touched = int(np.count_nonzero(seen))
         ratio = (touched / n_elements) if n_elements else 0.0
         lt.unique_per_elem[set_name] = (
             lt.unique_per_elem.get(set_name, 0.0)

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 #: tolerated, counted as ``corrupt``, unlinked and rebuilt — instead of
 #: being misread.
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "plan": 1,
+    "plan": 2,
     "chain": 2,
     "kernelc": 1,
     "native": 1,

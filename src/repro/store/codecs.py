@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..coloring import BlockLayout, BlockPermutation, Permutation
+from ..coloring import BlockLayout, BlockPermutation, Permutation, racing_slots
 from ..core.plan import Plan
 
 
@@ -43,10 +43,14 @@ def encode_plan(plan: Plan) -> dict:
 
     ``blocks_by_color`` is derived from ``block_colors`` on decode, and
     the phase/order/gather caches rebuild lazily — they are cheap
-    relative to the graph coloring this skips.
+    relative to the graph coloring this skips.  The within-block
+    coloring is never stored: plans are encoded right after they are
+    built, before anything has read it, and the decoded plan computes
+    it on first read like a freshly built one.
     """
     return {
         "scheme": plan.scheme,
+        "coloring_method": plan.coloring_method,
         "is_direct": bool(plan.is_direct),
         "layout": (
             int(plan.layout.n_elements),
@@ -55,8 +59,6 @@ def encode_plan(plan: Plan) -> dict:
         ),
         "block_colors": plan.block_colors,
         "n_block_colors": int(plan.n_block_colors),
-        "elem_colors": plan.elem_colors,
-        "block_ncolors": plan.block_ncolors,
         "permutation": (
             None
             if plan.permutation is None
@@ -74,8 +76,9 @@ def encode_plan(plan: Plan) -> dict:
     }
 
 
-def decode_plan(payload: dict, set_) -> Plan:
-    """Rebuild a live plan over the session's ``set_``."""
+def decode_plan(payload: dict, set_, args) -> Plan:
+    """Rebuild a live plan over the session's ``set_`` and loop ``args``
+    (whose racing columns color the plan's elements on first read)."""
     n_elements, block_size, offsets = payload["layout"]
     layout = BlockLayout(
         n_elements=int(n_elements),
@@ -110,14 +113,8 @@ def decode_plan(payload: dict, set_) -> Plan:
         block_colors=block_colors,
         n_block_colors=n_block_colors,
         blocks_by_color=blocks_by_color,
-        elem_colors=(
-            None if payload["elem_colors"] is None
-            else _arr(payload["elem_colors"])
-        ),
-        block_ncolors=(
-            None if payload["block_ncolors"] is None
-            else _arr(payload["block_ncolors"])
-        ),
+        racing=tuple(racing_slots(args)),
+        coloring_method=str(payload["coloring_method"]),
         permutation=permutation,
         block_permutation=block_permutation,
         build_stats=dict(payload["build_stats"]),

@@ -36,11 +36,16 @@ from ..core.access import IDX_ALL
 
 
 def digest(*parts) -> str:
-    """sha256 over a flat token stream (ints/strings/bytes/None)."""
+    """sha256 over a flat token stream (ints/strings/bytes/None).
+
+    Byte buffers may be ``memoryview``s; they are hashed in place, so a
+    mesh-sized map costs no copy.
+    """
     h = hashlib.sha256()
     for p in parts:
-        if isinstance(p, bytes):
-            h.update(b"B" + p)
+        if isinstance(p, (bytes, memoryview)):
+            h.update(b"B")
+            h.update(p)
         else:
             h.update(repr(p).encode())
         h.update(b"\x1f")
@@ -59,7 +64,7 @@ def map_key(m) -> str:
             int(m.arity),
             int(m.from_set.total_size),
             int(m.to_set.total_size),
-            m.values.tobytes(),
+            m.values.data,
         )
         m._struct_key = cached
     return cached
@@ -187,7 +192,10 @@ def kernelc_key(kernel, shapes) -> Optional[str]:
     norm = []
     for s in shapes:
         if isinstance(s, tuple):
-            norm.append((bool(s[0]), None if s[1] is None else int(s[1])))
+            entry = (bool(s[0]), None if s[1] is None else int(s[1]))
+            if len(s) > 2 and s[2]:
+                entry += (True,)  # global INC: recorded increments
+            norm.append(entry)
         else:
             norm.append((bool(s), None))
     return digest("kernelc", kkey, norm)

@@ -192,7 +192,50 @@ def reduce_all_vec(x, s, mn, mx):
     mx[:, 0] = np.maximum(mx[:, 0], x[:, 1])
 
 
+@kernel("sum_squares", flops=8)
+def sum_squares(x, s):
+    for n in range(3):
+        s[0] += x[n] * x[n]
+    if x[0] > 0.0:
+        s[1] -= x[0]
+
+
+#: A float64 constant: in a float32 loop its products are float64 terms
+#: that the scalar kernel rounds into the float32 accumulator per add.
+_WIDE = np.float64(0.1)
+
+
+@kernel("sum_wide", flops=4)
+def sum_wide(x, s):
+    s[0] += x[0] * _WIDE
+    s[1] += x[1] * x[2]
+
+
 class TestGlobalReductions:
+    @pytest.mark.parametrize("kern,dtype", [(sum_squares, np.float64),
+                                            (sum_wide, np.float32)])
+    @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
+    def test_direct_inc_bitwise_sequential(self, backend, scheme, options,
+                                           kern, dtype):
+        """A direct loop's global INC adds every increment in the scalar
+        kernel's order on every backend: generated vector forms record
+        the terms instead of summing them per lane and per batch."""
+        rng = np.random.default_rng(5)
+        s = Set(1001, "s")
+        vals = rng.standard_normal((1001, 3)) * 10.0 ** rng.integers(
+            -6, 6, (1001, 1))
+
+        def run(rt):
+            x = Dat(s, 3, vals.astype(dtype), dtype=dtype, name="x")
+            g = Global(2, 0.0, dtype, name="g")
+            par_loop(kern, s, arg_dat(x, IDX_ID, None, READ),
+                     arg_gbl(g, INC), runtime=rt)
+            return g.data.copy()
+
+        ref = run(runtime_for("sequential", "two_level", {}))
+        got = run(runtime_for(backend, scheme, options, 64))
+        assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("backend,scheme,options", BACKEND_MATRIX)
     def test_inc_min_max(self, backend, scheme, options):
         rng = np.random.default_rng(11)

@@ -50,7 +50,8 @@ AIRFOIL_SHAPES = {
                  (True, 1), (True, 4), (True, 4)],
     "bres_calc": [(True, 2), (True, 2), (True, 4), (True, 1), (True, 4),
                   (True, 1)],
-    "update": [(True, 4), (True, 4), (True, 4), (True, 1), (True, 1)],
+    "update": [(True, 4), (True, 4), (True, 4), (True, 1),
+               (True, None, True)],
 }
 
 VOLNA_SHAPES = {

@@ -197,8 +197,10 @@ class TestDistributedVolna:
         serial = build(mesh_a)
         serial.run(3)
 
-        mesh_b = make_tri_mesh(10, 8, 100_000.0, 75_000.0)
-        dist_sim = build(mesh_b)
+        dist_sim = build(make_tri_mesh(10, 8, 100_000.0, 75_000.0))
+        # The decomposition is built from the mesh the sim's Dats live
+        # on: the sim renumbers its edges on intake.
+        mesh_b = dist_sim.mesh
         s = dist_sim.state
         cell_parts = rcb_partition(mesh_b.cell_centroids(), nranks)
         edge_parts = partition_iteration_set(

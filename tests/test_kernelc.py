@@ -135,6 +135,36 @@ class TestEmitter:
         compile_vector(ir, [(True, 2), (True, 1)])(a, b)
         np.testing.assert_array_equal(b[:, 0], np.minimum(a[:, 0], a[:, 1]))
 
+    def test_global_inc_increments_are_recorded(self):
+        def f(a, g):
+            g[0] += a[0]
+            if a[1] > 1.0:
+                g[0] -= a[1]
+
+        src = emit_vector_source(parse_kernel(f), [(True, 2),
+                                                   (True, None, True)])
+        assert "g.add(0, a[:, 0])" in src
+        assert "g.add(0, _kc_select(" in src
+        assert "g[" not in src
+
+    def test_global_inc_must_only_be_incremented(self):
+        def k_store(a, g):
+            g[0] = g[0] + a[0]
+
+        def k_scale(a, g):
+            g[0] *= a[0]
+
+        def k_alias(a, g):
+            h = g
+            h[0] += a[0]
+
+        for f, why in ((k_store, "may only increment"),
+                       (k_scale, "may only increment"),
+                       (k_alias, "reads its global INC")):
+            with pytest.raises(UnvectorizableKernel, match=why):
+                emit_vector_source(parse_kernel(f),
+                                   [(True, 2), (True, None, True)])
+
     def test_branch_mask_lowering_bitwise(self):
         @kernel("kc_branch")
         def kc_branch(a, out):

@@ -14,8 +14,8 @@ from repro.mesh import (
     permute_set_numbering,
     rcm_renumber_cells,
     save_mesh,
+    renumber_edges_by_cell,
     scramble,
-    tile_local_renumber,
     volna_paper_dims,
 )
 
@@ -186,6 +186,14 @@ class TestRenumbering:
         r = permute_set_numbering(m, "nodes", perm)
         np.testing.assert_allclose(r.coords[perm[0]], m.coords[0])
 
+    def test_renumbered_set_is_a_new_object(self):
+        m = make_tri_mesh(3, 3)
+        r = scramble(m, "edges", seed=1)
+        assert r.edges is not m.edges and r.edges.size == m.edges.size
+        assert r.map("edge2cell").from_set is r.edges
+        assert r.cells is m.cells and r.nodes is m.nodes
+        assert r.bedges is m.bedges
+
     def test_invalid_permutation_rejected(self):
         m = make_tri_mesh(2, 2)
         with pytest.raises(ValueError):
@@ -209,36 +217,119 @@ class TestRenumbering:
         np.testing.assert_allclose(b.q[perm], a.q, rtol=1e-10, atol=1e-12)
 
 
-class TestTileLocalRenumber:
-    def test_edges_sorted_by_cell_block(self):
-        mesh = tile_local_renumber(make_airfoil_mesh(24, 12), 64)
-        for map_name in ("edge2cell", "bedge2cell"):
-            blocks = mesh.map(map_name).values.max(axis=1) // 64
-            assert np.all(np.diff(blocks) >= 0)
+def _scrambled_edges(mesh, seed=0):
+    """``mesh`` with both edge-like sets randomly renumbered."""
+    for i, name in enumerate(("edges", "bedges")):
+        mesh = scramble(mesh, name, seed=seed + i)
+    return mesh
 
-    def test_airfoil_state_bitwise_unchanged(self):
+
+def _assert_cell_ordered(mesh):
+    for map_name in ("edge2cell", "bedge2cell"):
+        key = mesh.map(map_name).values.max(axis=1)
+        assert np.all(np.diff(key) >= 0), map_name
+
+
+class TestRenumberEdgesByCell:
+    @pytest.mark.parametrize("make", [
+        lambda: make_airfoil_mesh(24, 12), lambda: make_tri_mesh(9, 7)])
+    def test_edges_sorted_by_highest_cell(self, make):
+        raw = _scrambled_edges(make(), seed=3)
+        mesh = renumber_edges_by_cell(raw)
+        _assert_cell_ordered(mesh)
+        # A renumbering, not an edit: same edge rows, cells and nodes.
+        for name in ("edge2cell", "edge2node", "bedge2cell", "bedge2node"):
+            a, b = raw.map(name).values, mesh.map(name).values
+            assert sorted(map(tuple, a.tolist())) == sorted(
+                map(tuple, b.tolist()))
+        assert np.array_equal(mesh.map("cell2node").values,
+                              raw.map("cell2node").values)
+        assert np.array_equal(mesh.coords, raw.coords)
+
+    def test_ordered_mesh_returned_as_is(self):
+        mesh = renumber_edges_by_cell(make_airfoil_mesh(12, 6))
+        assert renumber_edges_by_cell(mesh) is mesh
+
+
+class TestSimIntake:
+    """The edge-loop apps renumber their edge-like sets on intake."""
+
+    @staticmethod
+    def _airfoil(mesh, backend):
         from repro.apps.airfoil import AirfoilSim
         from repro.core import Runtime
 
-        base = AirfoilSim(
-            make_airfoil_mesh(12, 6),
-            runtime=Runtime("vectorized", block_size=32), chained=False,
-        )
-        renum = AirfoilSim(
-            tile_local_renumber(make_airfoil_mesh(12, 6), 48),
-            runtime=Runtime("vectorized", block_size=32), chained=False,
-        )
-        base.run(3)
-        renum.run(3)
-        # Cell numbering is untouched and, at this block size, the
-        # stable reorder keeps every cell's incident-edge order, so
-        # each cell accumulates in the same order: bitwise equal.
-        assert np.array_equal(renum.state.p_q.data, base.state.p_q.data)
-        assert renum.rms_history == base.rms_history
+        return AirfoilSim(mesh, runtime=Runtime(backend, block_size=32))
 
-    def test_bad_tile_size_raises(self):
-        with pytest.raises(ValueError, match="tile_size"):
-            tile_local_renumber(make_airfoil_mesh(10, 5), 0)
+    @staticmethod
+    def _volna(mesh, backend):
+        from repro.apps.volna import VolnaSim
+        from repro.core import Runtime
+
+        return VolnaSim(mesh, dtype=np.float64,
+                        runtime=Runtime(backend, block_size=32))
+
+    @pytest.mark.parametrize("app,raw", [
+        ("airfoil", lambda: _scrambled_edges(make_airfoil_mesh(16, 8))),
+        ("volna", lambda: scramble(_scrambled_edges(make_tri_mesh(10, 8)),
+                                   "cells", seed=7)),
+    ])
+    def test_scrambled_input_native_equals_sequential(self, app, raw):
+        from repro.kernelc import compiler_available
+
+        make = self._airfoil if app == "airfoil" else self._volna
+        mesh = raw()
+        # Without a C compiler native runs the vectorized path and is
+        # bitwise equal to that instead.
+        ref = "sequential" if compiler_available() else "vectorized"
+        sims = [make(mesh, b) for b in (ref, "native")]
+        for sim in sims:
+            _assert_cell_ordered(sim.mesh)
+            # Cells keep the caller's numbering.
+            assert sim.mesh.cells is mesh.cells
+            assert np.array_equal(sim.mesh.map("cell2node").values,
+                                  mesh.map("cell2node").values)
+            sim.run(2)
+        assert sims[0].mesh is not mesh
+        assert np.array_equal(sims[0].q, sims[1].q)
+
+    @pytest.mark.parametrize("app", ["airfoil", "volna"])
+    def test_intake_keeps_ordered_mesh_object(self, app):
+        make = self._airfoil if app == "airfoil" else self._volna
+        raw = make_airfoil_mesh(12, 6) if app == "airfoil" else \
+            make_tri_mesh(6, 5)
+        mesh = renumber_edges_by_cell(raw)
+        assert make(mesh, "vectorized").mesh is mesh
+
+    def test_caller_edge_numbering_does_not_mix_with_the_sims(self):
+        from repro.core import Access, Dat, arg_dat, kernel, par_loop
+        from repro.core.access import IDX_ID
+
+        @kernel("touch")
+        def touch(a, b):
+            b[0] = a[0]
+
+        raw = _scrambled_edges(make_airfoil_mesh(8, 4))
+        sim = self._airfoil(raw, "sequential")
+        m = sim.mesh
+        # The renumbered sets are new objects; cells and nodes are not.
+        assert m.edges is not raw.edges and m.bedges is not raw.bedges
+        assert m.cells is raw.cells and m.nodes is raw.nodes
+        stale = Dat(raw.edges, 1, name="stale")
+        fresh = Dat(m.edges, 1, name="fresh")
+        # A Dat on the caller's edges in a loop over the sim's edges.
+        with pytest.raises(ValueError):
+            par_loop(touch, m.edges,
+                     arg_dat(stale, IDX_ID, None, Access.READ),
+                     arg_dat(fresh, IDX_ID, None, Access.WRITE),
+                     runtime=sim.runtime)
+        # A map taken from the caller's mesh in a loop over the sim's.
+        with pytest.raises(ValueError):
+            par_loop(touch, m.edges,
+                     arg_dat(sim.state.p_adt, 0, raw.map("edge2cell"),
+                             Access.READ),
+                     arg_dat(fresh, IDX_ID, None, Access.WRITE),
+                     runtime=sim.runtime)
 
 
 class TestMeshIO:

@@ -61,6 +61,26 @@ class TestMachines:
 
 
 class TestTransferAnalysis:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_targets_match_unique(self, seed):
+        # Distinct targets counted over every map a Dat is reached
+        # through equal np.unique's count, including maps that leave
+        # targets untouched.
+        rng = np.random.default_rng(seed)
+        n_to = int(rng.integers(1, 50))
+        to = Set(n_to, "to")
+        frm = Set(int(rng.integers(1, 80)), "from")
+        m2, m3 = (Map(frm, to, a, rng.integers(0, n_to, (frm.size, a)))
+                  for a in (2, 3))
+        acc = Dat(to, 2)
+        args = [arg_dat(acc, 0, m2, INC), arg_dat(acc, 0, m3, READ)]
+        touched = np.unique(np.concatenate(
+            [m2.values.reshape(-1), m3.values.reshape(-1)])).size
+        lt = analyze_loop("from", args, {to: "to", frm: "from"})
+        # dim 2, read and written.
+        assert lt.unique_per_elem["to"] == pytest.approx(
+            touched / frm.size * 2 * 2)
+
     def setup_method(self):
         self.nodes = Set(10, "nodes")
         self.edges = Set(20, "edges")

@@ -97,6 +97,54 @@ class TestBuildPlan:
         assert plan.layout.n_elements == 6  # owned + exec halo
 
 
+class TestLazyElementColors:
+    """The two_level within-block coloring is computed on first read."""
+
+    def test_not_colored_until_read(self, monkeypatch):
+        import repro.core.plan as core_plan
+        from repro.coloring import conflict_targets, element_colors_by_block
+
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return element_colors_by_block(*a, **kw)
+
+        monkeypatch.setattr(core_plan, "element_colors_by_block", counting)
+        elems, args, _ = grid_loop(n=60)
+        plan = build_plan(elems, args, block_size=16, scheme="two_level")
+        assert plan.n_block_colors >= 1 and not calls
+        colors, ncolors = plan.elem_colors, plan.block_ncolors
+        assert len(calls) == 1
+        # The colors the SIMT backend reads are the eager build's.
+        want = element_colors_by_block(
+            plan.layout, *conflict_targets(args, elems.total_size)
+        )
+        np.testing.assert_array_equal(colors, want[0])
+        np.testing.assert_array_equal(ncolors, want[1])
+        plan.elem_colors
+        assert len(calls) == 1
+
+    def test_simt_reads_lazy_colors(self):
+        elems, args, _ = grid_loop(n=40)
+
+        def k(w, a0, a1):
+            a0[0] += w[0]
+            a1[0] += w[0]
+
+        args[0].dat.data[:] = np.arange(elems.size).reshape(-1, 1)
+        out = {}
+        for name in ("sequential", "simt"):
+            plan = build_plan(elems, args, block_size=8)
+            args[1].dat.data[:] = 0.0
+            par_loop(Kernel(f"lazy_{name}", k), elems, *args,
+                     runtime=Runtime(name, block_size=8), plan=plan)
+            out[name] = args[1].dat.data.copy()
+            # Only SIMT reads the within-block coloring.
+            assert (plan._elem_colors is not None) == (name == "simt")
+        np.testing.assert_array_equal(out["simt"], out["sequential"])
+
+
 class TestPlanSignatureAndCache:
     def test_signature_ignores_reads(self):
         elems, args, m = grid_loop()

@@ -111,7 +111,7 @@ class TestPlanCodec:
         args = (arg_dat(w, IDX_ID, None, READ), arg_dat(r, 0, e2n, INC))
         plan = build_plan(edges, args, block_size, scheme, "auto")
         doc = pickle.loads(pickle.dumps(store.encode_plan(plan)))
-        back = store.decode_plan(doc, edges)
+        back = store.decode_plan(doc, edges, args)
         assert back.scheme == plan.scheme
         assert back.is_direct == plan.is_direct
         assert back.n_block_colors == plan.n_block_colors
@@ -126,6 +126,14 @@ class TestPlanCodec:
             np.testing.assert_array_equal(
                 back.permutation.order, plan.permutation.order
             )
+        # Within-block colors are never persisted; the decoded plan
+        # computes the same ones on first read.
+        assert "elem_colors" not in doc
+        if plan.elem_colors is not None:
+            np.testing.assert_array_equal(back.elem_colors, plan.elem_colors)
+            np.testing.assert_array_equal(
+                back.block_ncolors, plan.block_ncolors
+            )
         # The decoded plan executes: phases cover every element once.
         covered = np.concatenate(
             [ph.elems for ph in back.phases(edges.total_size)]
@@ -139,7 +147,7 @@ class TestPlanCodec:
         args = (arg_dat(w, IDX_ID, None, READ),
                 arg_dat(s, IDX_ID, None, WRITE))
         plan = build_plan(edges, args, 8, "two_level", "auto")
-        back = store.decode_plan(store.encode_plan(plan), edges)
+        back = store.decode_plan(store.encode_plan(plan), edges, args)
         assert back.is_direct
         assert back.n_block_colors == plan.n_block_colors
 
